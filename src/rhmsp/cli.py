@@ -178,6 +178,16 @@ def write_report(report: analysis.CheckReport, out_dir: str,
     write_text(path, rep.to_json())
 
 
+def _sample_grid_paths(spec: ProcessSpec, grid: np.ndarray, paths: int,
+                      **lepage_options) -> lepage.PathEnsemble:
+    """`sample_paths` on a command-line grid; a grid that leaves the horizon
+    or a bad ensemble size is a usage error."""
+    try:
+        return sample_paths(spec, grid, paths, LePageConfig(**lepage_options))
+    except ValueError as exc:
+        raise CliError(str(exc))
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -188,8 +198,7 @@ def cmd_simulate(args) -> int:
     seed = resolve_seed(args, cfg)
     grid = parse_grid(args.grid)
     out = prepare_out_file(args.out, args.force)
-    lp = LePageConfig(terms=args.terms, seed=seed)
-    ens = sample_paths(spec, grid, args.paths, lp)
+    ens = _sample_grid_paths(spec, grid, args.paths, terms=args.terms, seed=seed)
     csv = lepage.ensemble_to_csv(ens)
     meta = {
         "config": {**cfg, "seed": str(seed)},
@@ -231,8 +240,7 @@ def cmd_cf_check(args) -> int:
     seed = resolve_seed(args, cfg)
     out = prepare_out_dir(args.out, args.force)
     grid = parse_grid(args.grid)
-    ens = sample_paths(spec, grid, args.paths, LePageConfig(terms=args.terms,
-                                                            seed=seed))
+    ens = _sample_grid_paths(spec, grid, args.paths, terms=args.terms, seed=seed)
     points = _random_points(grid, args.points, seed)
     bias = lepage.bias_budget(spec.alpha, args.terms)
     rows = []
@@ -294,10 +302,13 @@ def cmd_lnd(args) -> int:
     qcfg = build_quad_config(cfg)
     out = prepare_out_dir(args.out, args.force)
     spacings = parse_floats(args.spacings, "spacings")
-    report = analysis.lnd_study(
-        spec, args.center, spacings, args.n, cfg=qcfg,
-        opt_cfg=OptimizerConfig(grad_tol=args.grad_tol),
-        floor_value=args.floor)
+    try:
+        report = analysis.lnd_study(
+            spec, args.center, spacings, args.n, cfg=qcfg,
+            opt_cfg=OptimizerConfig(grad_tol=args.grad_tol),
+            floor_value=args.floor)
+    except ValueError as exc:
+        raise CliError(str(exc))
     report = analysis.CheckReport(
         check=report.check,
         parameters={**report.parameters, "config": cfg},
@@ -323,8 +334,11 @@ def cmd_localize(args) -> int:
     deltas = parse_floats(args.deltas, "deltas")
     all_pass = True
     for i, delta in enumerate(deltas):
-        report = analysis.localizability_error(
-            spec, args.t, delta, cfg=qcfg, threshold=args.threshold)
+        try:
+            report = analysis.localizability_error(
+                spec, args.t, delta, cfg=qcfg, threshold=args.threshold)
+        except ValueError as exc:
+            raise CliError(str(exc))
         report = analysis.CheckReport(
             check=report.check,
             parameters={**report.parameters, "config": cfg},
@@ -342,25 +356,27 @@ def cmd_localtime(args) -> int:
     seed = resolve_seed(args, cfg)
     out = prepare_out_dir(args.out, args.force)
     grid = parse_grid(args.grid)
-    if not any(np.isclose(grid, args.t)):
+    on_grid = np.flatnonzero(np.isclose(grid, args.t))
+    if not on_grid.size:
         raise CliError("--t must lie on the grid")
-    ens = sample_paths(spec, grid, 1, LePageConfig(terms=args.terms, seed=seed))
+    t = float(grid[on_grid[0]])   # the grid point itself, which the histogram needs
+    ens = _sample_grid_paths(spec, grid, 1, terms=args.terms, seed=seed)
     path = localtime.ensemble_path(ens, 0)
-    est = localtime.occupation_histogram(path, args.t, args.bins)
+    est = localtime.occupation_histogram(path, t, args.bins)
     mass = float(np.sum(est.values) * est.bin_width)
     mass_report = analysis.CheckReport(
         check="localtime_mass_identity",
-        parameters={"config": {**cfg, "seed": str(seed)}, "t": args.t,
+        parameters={"config": {**cfg, "seed": str(seed)}, "t": t,
                     "bins": args.bins, "mass": mass},
-        metric=abs(mass - args.t), threshold=1e-10 * args.t,
-        direction="<=", passed=bool(abs(mass - args.t) <= 1e-10 * args.t))
+        metric=abs(mass - t), threshold=1e-10 * t,
+        direction="<=", passed=bool(abs(mass - t) <= 1e-10 * t))
     centre = float(np.median(path.values[:-1]))
     spread = float(np.std(path.values[:-1])) or 1.0
     test = localtime.TestFunction.gaussian(centre, 0.5 * spread)
     residual = localtime.occupation_formula_check(path, est, test)
     occ_report = analysis.CheckReport(
         check="localtime_occupation_residual",
-        parameters={"config": {**cfg, "seed": str(seed)}, "t": args.t,
+        parameters={"config": {**cfg, "seed": str(seed)}, "t": t,
                     "bins": args.bins, "test_center": centre,
                     "test_width": 0.5 * spread},
         metric=float(residual), threshold=args.residual_threshold,
@@ -372,7 +388,7 @@ def cmd_localtime(args) -> int:
     write_text(csv_path, "\n".join(lines) + "\n")
     write_text(os.path.join(out, "localtime.json"), sidecar_json({
         "config": {**cfg, "seed": str(seed)},
-        "window": [0.0, args.t], "bin_width": est.bin_width,
+        "window": [0.0, t], "bin_width": est.bin_width,
         "path_dt": est.path_dt, "source_path": 0,
     }))
     write_report(mass_report, out, "mass_identity", [csv_path])
@@ -384,7 +400,7 @@ def cmd_localtime(args) -> int:
         hs = parse_floats(args.m2, "m2 window list")
         rows = ["h,m2"]
         for hwin in hs:
-            m2 = localtime.local_time_second_moment(spec, args.t, hwin, args.x)
+            m2 = localtime.local_time_second_moment(spec, t, hwin, args.x)
             rows.append("%.17g,%.17g" % (hwin, m2))
             print("PASS localtime_m2: h=%g m2=%.6g" % (hwin, m2))
         write_text(os.path.join(out, "m2.csv"), "\n".join(rows) + "\n")
@@ -418,9 +434,8 @@ def cmd_holder(args) -> int:
     grid = parse_grid(args.grid)
     # tail compensation adds an independent normal per grid point; that white
     # noise is right for marginal laws but ruins path-regularity statistics
-    ens = sample_paths(spec, grid, args.paths,
-                       LePageConfig(terms=args.terms, seed=seed,
-                                    tail_compensation=False))
+    ens = _sample_grid_paths(spec, grid, args.paths, terms=args.terms, seed=seed,
+                            tail_compensation=False)
     deltas = parse_floats(args.deltas, "deltas")
     report = analysis.holder_slope(ens, deltas, threshold=args.threshold)
     report = analysis.CheckReport(
@@ -618,8 +633,6 @@ def _add_common(p, out_required=True):
     p.add_argument("--out", required=out_required, help="output location")
     p.add_argument("--force", action="store_true",
                    help="allow writing into a non-empty output location")
-    p.add_argument("--threads", type=int, default=None,
-                   help="cap worker count (inner operations are sequential)")
 
 
 def build_parser() -> _Parser:
@@ -708,8 +721,6 @@ def run(argv: Sequence[str]) -> int:
         args = parser.parse_args(list(argv))
         if not getattr(args, "command", None):
             raise CliError("expected one of: %s" % ", ".join(COMMANDS))
-        if args.threads is not None and args.threads < 1:
-            raise CliError("--threads must be >= 1")
         return _DISPATCH[args.command](args)
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -89,7 +89,6 @@ class HurstFunction:
     def _extrema(self):
         """Analytic (min, max, sup|H'|) over [0, horizon] per form."""
         lo, hi = self.range_on(0.0, self.horizon)
-        T = self.horizon
         p = self.params
         if self.form == "const":
             dmax = 0.0
@@ -101,7 +100,6 @@ class HurstFunction:
             dmax = abs((p[1] - p[0]) * p[3]) / 4.0
         else:
             raise ValueError("unknown Hurst form %r" % (self.form,))
-        del T
         return lo, hi, dmax
 
     def range_on(self, a, b):

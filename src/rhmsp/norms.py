@@ -114,12 +114,17 @@ class _Terms:
                     * (self.c1[k] * np.exp(1j * self.nu[k] * x) + self.c0[k]))
         return out
 
-    def combo_frozen(self, x, y):
-        """Envelope frozen at x (column), phases taken along y (row)."""
-        out = np.zeros((x.size, y.size), dtype=complex)
+    def phase_factors(self, y):
+        """c1_k e^{i nu_k y} + c0_k at the phase samples y, one row per term."""
+        return np.array([self.c1[k] * np.exp(1j * self.nu[k] * y) + self.c0[k]
+                         for k in range(self.lam.size)])
+
+    def combo_frozen(self, x, osc):
+        """Envelope frozen at x (column), phases taken along the rows of
+        ``osc = phase_factors(y)``."""
+        out = np.zeros((x.size, osc.shape[1]), dtype=complex)
         for k in range(self.lam.size):
-            osc = self.c1[k] * np.exp(1j * self.nu[k] * y) + self.c0[k]
-            out += self.lam[k] * x[:, None] ** (-self.p[k]) * osc[None, :]
+            out += self.lam[k] * x[:, None] ** (-self.p[k]) * osc[k][None, :]
         return out
 
 
@@ -202,6 +207,50 @@ def _phase_samples(freqs: Sequence[float]) -> np.ndarray:
     return length * np.mod((np.arange(m) + 0.5) * golden, 1.0)
 
 
+# complex elements per block of a distinct-exponent phase-mean matrix (1 MiB):
+# larger blocks run no faster and only raise the peak resident set
+_ENVELOPE_BLOCK = 1 << 16
+
+
+def _mean_envelope(reduce, combos, y):
+    """Phase mean, over the samples y, of ``reduce(*[frozen combos at x])``
+    as a vectorized function of the tail nodes x.
+
+    ``reduce`` must be positively homogeneous of degree alpha in a common
+    envelope factor.  When every term of every combination has the same
+    exponent p (constant H), the frozen combinations at x are x^{-p} times
+    those at x = 1, so the mean is evaluated once and scaled by
+    x^{-alpha p}.  Otherwise the nodes are streamed in blocks of about
+    ``_ENVELOPE_BLOCK`` elements (one node at least), so memory never grows
+    as nodes x samples; the phase factors are computed once either way.
+    """
+    alpha = combos[0].alpha
+    p = np.concatenate([c.p for c in combos])
+    osc = [c.phase_factors(y) for c in combos]
+
+    def rows(x):
+        return np.mean(reduce(*[c.combo_frozen(x, o) for c, o in zip(combos, osc)]),
+                       axis=1)
+
+    if np.all(p == p[0]):
+        scale = float(rows(np.ones(1))[0])
+        power = -alpha * float(p[0])
+
+        def mean_env(x):
+            return scale * np.atleast_1d(np.asarray(x, dtype=float)) ** power
+        return mean_env
+
+    block = max(1, _ENVELOPE_BLOCK // y.size)
+
+    def mean_env(x):
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        out = np.empty(x.size)
+        for i in range(0, x.size, block):
+            out[i:i + block] = rows(x[i:i + block])
+        return out
+    return mean_env
+
+
 def _raw_norm_integral(spec: ProcessSpec, times, coeffs,
                        cfg: QuadratureConfig) -> float:
     """int_R |Sum lambda_k f(t_k, x)|^alpha dx (the scale norm to the alpha)."""
@@ -216,12 +265,8 @@ def _raw_norm_integral(spec: ProcessSpec, times, coeffs,
     def g(x):
         return np.abs(terms.combo(x)) ** alpha
 
-    y = _phase_samples(freqs)
-
-    def mean_env(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.mean(np.abs(terms.combo_frozen(x, y)) ** alpha, axis=1)
-
+    mean_env = _mean_envelope(lambda G: np.abs(G) ** alpha, (terms,),
+                              _phase_samples(freqs))
     hint = OscillationHint(frequencies=freqs, mean_envelope=mean_env)
     try:
         res = integrate_even_singular(g, decay, singular, cfg, oscillation=hint)
@@ -294,9 +339,7 @@ def _grad_component(spec: ProcessSpec, times, coeffs, j,
     decay = (alpha - 1.0) * p_min + float(np.min(unit.p)) - 1.0
     singular = alpha * (p_max - 1.0)
 
-    def w_signed(x):
-        G = terms.combo(x)
-        fj = unit.combo(x)
+    def signed(G, fj):
         absG = np.abs(G)
         out = np.zeros_like(absG)
         mask = absG > 0.0
@@ -305,26 +348,17 @@ def _grad_component(spec: ProcessSpec, times, coeffs, j,
         return out
 
     y = _phase_samples(freqs)
-
-    def signed_frozen(x):
-        G = terms.combo_frozen(x, y)
-        fj = unit.combo_frozen(x, y)
-        absG = np.abs(G)
-        vals = np.zeros_like(absG)
-        mask = absG > 0.0
-        vals[mask] = absG[mask] ** (alpha - 2.0) * (G[mask].conjugate() * fj[mask]).real
-        return vals
-
     total = 0.0
     for sign in (1.0, -1.0):
-        def g(x, sign=sign):
-            return np.maximum(sign * w_signed(np.asarray(x, dtype=float)), 0.0)
+        def part(G, fj, sign=sign):
+            return np.maximum(sign * signed(G, fj), 0.0)
 
-        def mean_env(x, sign=sign):
-            x = np.atleast_1d(np.asarray(x, dtype=float))
-            return np.mean(np.maximum(sign * signed_frozen(x), 0.0), axis=1)
+        def g(x, part=part):
+            x = np.asarray(x, dtype=float)
+            return part(terms.combo(x), unit.combo(x))
 
-        hint = OscillationHint(frequencies=freqs, mean_envelope=mean_env)
+        hint = OscillationHint(frequencies=freqs,
+                               mean_envelope=_mean_envelope(part, (terms, unit), y))
         res = integrate_even_singular(g, decay, singular, cfg, oscillation=hint)
         total += sign * res.value
     return -alpha * total  # dG/da_j = -f_j

@@ -118,7 +118,10 @@ class OscillationHint:
         differences).
     mean_envelope: optional vectorized callable returning the local
         phase-average of the integrand; used for the extreme tail where
-        direct phase evaluation is no longer trustworthy.
+        direct phase evaluation is no longer trustworthy.  The engine calls
+        it with whole arrays of tail nodes, so its cost must not grow as
+        nodes x phase samples: factor out a common envelope, or stream the
+        nodes in bounded blocks.
     """
 
     frequencies: tuple
@@ -416,9 +419,6 @@ def _windowed_tail(part, cutoff, sigma, halfwidth, panel_width, s, x1,
     return ramp_val + out_val, ramp_err + out_err + noise, nev, x1
 
 
-_LAST_BREAKDOWN: dict = {}  # debugging aid: error budget of the last call
-
-
 def integrate_even_singular(g, decay_exponent, singular_exponent,
                             cfg: QuadratureConfig,
                             oscillation: Optional[OscillationHint] = None) -> QuadResult:
@@ -506,7 +506,6 @@ def integrate_even_singular(g, decay_exponent, singular_exponent,
         nev += n
         tail_val += tv
         tail_err += te
-        _LAST_BREAKDOWN["tail_win"] = te
         # window suppression residual: bounded by the kernel FT at w_win
         supp = math.exp(-0.5 * (w_win * sigma) ** 2)
         tail_err += supp * abs(tv) * 10.0 + supp * cfg.abs_tol
@@ -528,7 +527,6 @@ def integrate_even_singular(g, decay_exponent, singular_exponent,
             nev += n
             tail_val += tv2
             tail_err += te2 + 1e-6 * abs(tv2)  # residual weight below u=1e-6
-            _LAST_BREAKDOWN["tail_out2"] = te2 + 1e-6 * abs(tv2)
         else:
             # bracketed power-law bound beyond x1
             xs = x1 * np.array([1.0, 1.3, 1.7, 2.3, 3.1])
@@ -563,8 +561,6 @@ def integrate_even_singular(g, decay_exponent, singular_exponent,
 
     value = 2.0 * (head_val + mid_val + tail_val)
     error = 2.0 * (head_err + mid_err + tail_err)
-    _LAST_BREAKDOWN.update(head=head_err, mid=mid_err, tail=tail_err,
-                           cutoff=cutoff, nev=nev)
     tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
     if error > 4.0 * tol:
         raise QuadratureError(

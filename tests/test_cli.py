@@ -166,3 +166,30 @@ def test_check_failure_exits_1(tmp_path, capsys):
 def test_bad_config_value_exits_2(tmp_path, capsys):
     assert run(["norm", "--times", "1", "--coeffs", "1",
                 "--set", "alpha=3.0"]) == 2
+
+
+def test_lnd_bad_center_exits_2(tmp_path, capsys):
+    assert run(["lnd", "--center", "-1", "--out", str(tmp_path / "lnd")]) == 2
+    assert capsys.readouterr().err.startswith("error: center must be positive")
+
+
+def test_simulate_grid_past_horizon_exits_2(tmp_path, capsys):
+    out = tmp_path / "p.csv"
+    assert run(["simulate", "--grid", "0:9:3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: grid leaves the horizon")
+    assert not out.exists()
+
+
+def test_localize_past_horizon_exits_2(tmp_path, capsys):
+    assert run(["localize", "--t", "3.99", "--deltas", "0.1",
+                "--out", str(tmp_path / "loc")]) == 2
+    assert capsys.readouterr().err.startswith("error: t + delta")
+
+
+def test_localtime_snaps_t_to_grid(tmp_path, capsys):
+    out = tmp_path / "lt"
+    assert run(["localtime", "--grid", "0:1:3", "--t", "0.3333333",
+                "--terms", "120", "--out", str(out)]) == 0
+    rep = json.loads((out / "mass_identity.json").read_text())
+    assert rep["parameters"]["t"] == 1.0 / 3.0
+    assert rep["pass"] is True

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from rhmsp import norms
 from rhmsp.norms import (FddPoint, OptimizerConfig, exact_cf, increment_norm,
                          condition_h_constant, hausdorff_young_ratio,
                          lnd_distance, scale_norm)
-from rhmsp.quad import QuadratureConfig
+from rhmsp.quad import QuadratureConfig, QuadResult
 
 from conftest import make_spec
 
@@ -142,3 +143,102 @@ def test_hausdorff_young_inequality_holds():
 def test_hausdorff_young_requires_y(default_spec):
     with pytest.raises(ValueError):
         hausdorff_young_ratio(default_spec, pt((1.0, 1.0)), CFG)
+
+
+# ---------------------------------------------------------------------------
+# phase-averaged tail envelope
+# ---------------------------------------------------------------------------
+
+def _hints(monkeypatch, call, *args):
+    """Run `call` with the quadrature engine replaced by a recorder and
+    return the OscillationHints it was given."""
+    seen = []
+
+    def record(g, decay, singular, cfg, oscillation=None):
+        seen.append(oscillation)
+        return QuadResult(value=0.0, error=0.0)
+
+    monkeypatch.setattr(norms, "integrate_even_singular", record)
+    call(*args)
+    return seen
+
+
+def _signed(G, fj, alpha, sign):
+    absG = np.abs(G)
+    out = np.zeros_like(absG)
+    mask = absG > 0.0
+    out[mask] = absG[mask] ** (alpha - 2.0) * (G[mask].conjugate() * fj[mask]).real
+    return np.maximum(sign * out, 0.0)
+
+
+def _frozen(terms, x, y):
+    """The full nodes-by-samples matrix of a combination frozen at x."""
+    out = np.zeros((x.size, y.size), dtype=complex)
+    for k in range(terms.lam.size):
+        osc = terms.c1[k] * np.exp(1j * terms.nu[k] * y) + terms.c0[k]
+        out += terms.lam[k] * x[:, None] ** (-terms.p[k]) * osc[None, :]
+    return out
+
+
+def _direct_envelopes(spec, times, coeffs, j, x, y):
+    """Per-row phase means of the full matrix: the norm's reducer, then the
+    gradient's positive and negative parts."""
+    alpha = spec.alpha.alpha
+    G = _frozen(norms._build_terms(spec, times, coeffs), x, y)
+    fj = _frozen(norms._build_terms(spec, (times[j],), (1.0,)), x, y)
+    return (np.mean(np.abs(G) ** alpha, axis=1),
+            np.mean(_signed(G, fj, alpha, 1.0), axis=1),
+            np.mean(_signed(G, fj, alpha, -1.0), axis=1))
+
+
+def _engine_envelopes(monkeypatch, spec, times, coeffs, j, x):
+    (norm_hint,) = _hints(monkeypatch, norms._raw_norm_integral,
+                          spec, times, coeffs, CFG)
+    grad_hints = _hints(monkeypatch, norms._grad_component,
+                        spec, times, coeffs, j, CFG)
+    hints = [norm_hint] + grad_hints
+    return [h.mean_envelope(x) for h in hints], [h.frequencies for h in hints]
+
+
+@pytest.mark.parametrize("times,coeffs", [
+    ((0.5, 0.5 + 1e-2 * math.sqrt(2.0)), (-1.0, 1.0)),
+    ((0.5, 0.53125, 0.5625), (-0.3, -0.9, 1.0)),
+])
+def test_const_h_envelope_is_factored_exactly(monkeypatch, times, coeffs):
+    spec = make_spec(hurst="const:0.7")
+    x = np.geomspace(1e2, 1e8, 7)
+    got, freqs = _engine_envelopes(monkeypatch, spec, times, coeffs, 0, x)
+    for env, fr, want in zip(got, freqs, _direct_envelopes(
+            spec, times, coeffs, 0, x, norms._phase_samples(freqs[0]))):
+        assert fr == freqs[0]
+        np.testing.assert_allclose(env, want, rtol=1e-13, atol=0.0)
+        assert np.all(want > 0.0)
+
+
+def test_distinct_exponent_envelope_streams_rows_exactly(monkeypatch):
+    spec = make_spec(hurst="sine:0.5,0.1,1")
+    times, coeffs = (0.4, 0.4 + 1e-2 * math.sqrt(2.0)), (-1.0, 1.0)
+    y = norms._phase_samples(norms._frequency_set(
+        norms._build_terms(spec, times, coeffs)))
+    # two-row blocks, so five nodes make three blocks, the last one partial
+    monkeypatch.setattr(norms, "_ENVELOPE_BLOCK", 2 * y.size)
+    x = np.geomspace(1e2, 1e8, 5)
+    got, freqs = _engine_envelopes(monkeypatch, spec, times, coeffs, 0, x)
+    for env, fr, want in zip(got, freqs, _direct_envelopes(
+            spec, times, coeffs, 0, x, y)):
+        assert np.array_equal(norms._phase_samples(fr), y)
+        assert np.array_equal(env, want)
+
+
+def test_const_h_norm_freezes_the_combination_once(monkeypatch):
+    calls = []
+    frozen = norms._Terms.combo_frozen
+
+    def counted(self, x, osc):
+        calls.append(np.size(x))
+        return frozen(self, x, osc)
+
+    monkeypatch.setattr(norms._Terms, "combo_frozen", counted)
+    value = norms._raw_norm_integral(make_spec(), (0.5, 0.51), (-1.0, 1.0), CFG)
+    assert value > 0.0
+    assert calls == [1]

@@ -87,6 +87,11 @@ class CheckReport:
     def with_artifacts(self, paths: Sequence[str]) -> "CheckReport":
         return replace(self, artifacts=tuple(str(p) for p in paths))
 
+    def with_parameters(self, **extra) -> "CheckReport":
+        """The same outcome with `extra` added to (or overriding) its
+        parameters, e.g. the run's provenance as ``config=...``."""
+        return replace(self, parameters={**self.parameters, **extra})
+
 
 def _report(check, parameters, metric, threshold, direction="<=") -> CheckReport:
     metric = float(metric)

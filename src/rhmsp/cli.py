@@ -134,26 +134,27 @@ def parse_floats(text: str, what: str) -> List[float]:
         raise CliError("bad %s list: %r" % (what, text))
 
 
-def prepare_out_dir(path: str, force: bool) -> str:
+def check_out_dir(path: str, force: bool) -> str:
+    """Check an output directory; it is created by the first `write_text`,
+    so a command rejected before then leaves nothing behind."""
     if os.path.isfile(path):
         raise CliError("--out %s is a file; expected a directory" % path)
     if os.path.isdir(path) and os.listdir(path) and not force:
         raise CliError("--out %s is not empty (use --force to overwrite)" % path)
-    os.makedirs(path, exist_ok=True)
     return path
 
 
-def prepare_out_file(path: str, force: bool) -> str:
+def check_out_file(path: str, force: bool) -> str:
+    """Check an output file; `write_text` creates its directory."""
     if os.path.isdir(path):
         raise CliError("--out %s is a directory; expected a file" % path)
     if os.path.exists(path) and not force:
         raise CliError("--out %s exists (use --force to overwrite)" % path)
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
     return path
 
 
 def write_text(path: str, text: str) -> None:
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w") as fh:
         fh.write(text)
 
@@ -197,7 +198,7 @@ def cmd_simulate(args) -> int:
     spec = build_spec(cfg)
     seed = resolve_seed(args, cfg)
     grid = parse_grid(args.grid)
-    out = prepare_out_file(args.out, args.force)
+    out = check_out_file(args.out, args.force)
     ens = _sample_grid_paths(spec, grid, args.paths, terms=args.terms, seed=seed)
     csv = lepage.ensemble_to_csv(ens)
     meta = {
@@ -238,7 +239,7 @@ def cmd_cf_check(args) -> int:
     spec = build_spec(cfg)
     qcfg = build_quad_config(cfg)
     seed = resolve_seed(args, cfg)
-    out = prepare_out_dir(args.out, args.force)
+    out = check_out_dir(args.out, args.force)
     grid = parse_grid(args.grid)
     ens = _sample_grid_paths(spec, grid, args.paths, terms=args.terms, seed=seed)
     points = _random_points(grid, args.points, seed)
@@ -289,7 +290,7 @@ def cmd_norm(args) -> int:
     cf = math.exp(-value ** spec.alpha.alpha)
     print("PASS norm: scale_norm=%.12g exact_cf=%.12g" % (value, cf))
     if args.out:
-        out = prepare_out_dir(args.out, args.force)
+        out = check_out_dir(args.out, args.force)
         payload = {"config": cfg, "times": times, "coeffs": coeffs,
                    "scale_norm": value, "exact_cf": cf}
         write_text(os.path.join(out, "norm.json"), sidecar_json(payload))
@@ -300,7 +301,7 @@ def cmd_lnd(args) -> int:
     cfg = resolve_config(args)
     spec = build_spec(cfg)
     qcfg = build_quad_config(cfg)
-    out = prepare_out_dir(args.out, args.force)
+    out = check_out_dir(args.out, args.force)
     spacings = parse_floats(args.spacings, "spacings")
     try:
         report = analysis.lnd_study(
@@ -309,11 +310,7 @@ def cmd_lnd(args) -> int:
             floor_value=args.floor)
     except ValueError as exc:
         raise CliError(str(exc))
-    report = analysis.CheckReport(
-        check=report.check,
-        parameters={**report.parameters, "config": cfg},
-        metric=report.metric, threshold=report.threshold,
-        direction=report.direction, passed=report.passed)
+    report = report.with_parameters(config=cfg)
     lines = ["kernel,spacing,ratio,hy_chain_bound"]
     for row in report.parameters["table"]:
         lines.append("%s,%.17g,%.17g,%s" % (
@@ -330,31 +327,26 @@ def cmd_localize(args) -> int:
     cfg = resolve_config(args)
     spec = build_spec(cfg)
     qcfg = build_quad_config(cfg)
-    out = prepare_out_dir(args.out, args.force)
+    out = check_out_dir(args.out, args.force)
     deltas = parse_floats(args.deltas, "deltas")
-    all_pass = True
-    for i, delta in enumerate(deltas):
-        try:
-            report = analysis.localizability_error(
-                spec, args.t, delta, cfg=qcfg, threshold=args.threshold)
-        except ValueError as exc:
-            raise CliError(str(exc))
-        report = analysis.CheckReport(
-            check=report.check,
-            parameters={**report.parameters, "config": cfg},
-            metric=report.metric, threshold=report.threshold,
-            direction=report.direction, passed=report.passed)
+    try:
+        reports = [analysis.localizability_error(
+            spec, args.t, delta, cfg=qcfg, threshold=args.threshold)
+            for delta in deltas]
+    except ValueError as exc:
+        raise CliError(str(exc))
+    for i, report in enumerate(reports):
+        report = report.with_parameters(config=cfg)
         write_report(report, out, "localize_%d" % i)
         emit(report)
-        all_pass = all_pass and report.passed
-    return 0 if all_pass else 1
+    return 0 if all(r.passed for r in reports) else 1
 
 
 def cmd_localtime(args) -> int:
     cfg = resolve_config(args)
     spec = build_spec(cfg)
     seed = resolve_seed(args, cfg)
-    out = prepare_out_dir(args.out, args.force)
+    out = check_out_dir(args.out, args.force)
     grid = parse_grid(args.grid)
     on_grid = np.flatnonzero(np.isclose(grid, args.t))
     if not on_grid.size:
@@ -409,7 +401,7 @@ def cmd_localtime(args) -> int:
 
 def cmd_ft_check(args) -> int:
     cfg = resolve_config(args)
-    out = prepare_out_dir(args.out, args.force)
+    out = check_out_dir(args.out, args.force)
     u_grid = (parse_floats(args.u, "u grid") if args.u
               else list(analysis.DEFAULT_U_GRID))
     try:
@@ -417,10 +409,7 @@ def cmd_ft_check(args) -> int:
                                    alpha=float(cfg["alpha"]))
     except ValueError as exc:
         raise CliError(str(exc))
-    report = analysis.CheckReport(
-        check=report.check, parameters={**report.parameters, "config": cfg},
-        metric=report.metric, threshold=report.threshold,
-        direction=report.direction, passed=report.passed)
+    report = report.with_parameters(config=cfg)
     write_report(report, out, "ft_check")
     emit(report)
     return 0 if report.passed else 1
@@ -430,7 +419,7 @@ def cmd_holder(args) -> int:
     cfg = resolve_config(args)
     spec = build_spec(cfg)
     seed = resolve_seed(args, cfg)
-    out = prepare_out_dir(args.out, args.force)
+    out = check_out_dir(args.out, args.force)
     grid = parse_grid(args.grid)
     # tail compensation adds an independent normal per grid point; that white
     # noise is right for marginal laws but ruins path-regularity statistics
@@ -438,11 +427,7 @@ def cmd_holder(args) -> int:
                             tail_compensation=False)
     deltas = parse_floats(args.deltas, "deltas")
     report = analysis.holder_slope(ens, deltas, threshold=args.threshold)
-    report = analysis.CheckReport(
-        check=report.check,
-        parameters={**report.parameters, "config": {**cfg, "seed": str(seed)}},
-        metric=report.metric, threshold=report.threshold,
-        direction=report.direction, passed=report.passed)
+    report = report.with_parameters(config={**cfg, "seed": str(seed)})
     lines = ["path,slope"]
     for j, s in enumerate(report.parameters["slopes"]):
         lines.append("%d,%.17g" % (j, s))
@@ -461,15 +446,13 @@ def cmd_verify_all(args) -> int:
     cfg = resolve_config(args)
     spec = build_spec(cfg)
     seed = resolve_seed(args, cfg)
-    out = prepare_out_dir(args.out, args.force)
+    out = check_out_dir(args.out, args.force)
     qcfg = build_quad_config(cfg)
     provenance = {**cfg, "seed": str(seed)}
     reports: List[analysis.CheckReport] = []
 
     def sub(name: str) -> str:
-        p = os.path.join(out, name)
-        os.makedirs(p, exist_ok=True)
-        return p
+        return os.path.join(out, name)
 
     # 1. series constants against the reflection-formula identity
     c_alpha, sigma = derive_constants(spec.alpha)
@@ -506,30 +489,21 @@ def cmd_verify_all(args) -> int:
 
     # 3. appendix FT identity (depends on quad only)
     rep = analysis.ft_check(1.5, 1.0, alpha=a)
-    rep = analysis.CheckReport(
-        check=rep.check, parameters={**rep.parameters, "config": provenance},
-        metric=rep.metric, threshold=rep.threshold,
-        direction=rep.direction, passed=rep.passed)
+    rep = rep.with_parameters(config=provenance)
     write_report(rep, sub("ft"), "ft_check")
     reports.append(rep)
 
     # 4. localizability at one coarse delta (depends on norms)
     rep = analysis.localizability_error(flat, 0.5, 0.1, cfg=qcfg,
                                         threshold=4.0 * qcfg.rel_tol)
-    rep = analysis.CheckReport(
-        check=rep.check, parameters={**rep.parameters, "config": provenance},
-        metric=rep.metric, threshold=rep.threshold,
-        direction=rep.direction, passed=rep.passed)
+    rep = rep.with_parameters(config=provenance)
     write_report(rep, sub("localize"), "localizability")
     reports.append(rep)
 
     # 5. LND sanity row (depends on norms + optimizer plumbing)
     rep = analysis.lnd_study(flat, 0.5, [2.0 ** -4], 2, cfg=qcfg,
                              floor_value=1.0 - 10.0 * qcfg.rel_tol)
-    rep = analysis.CheckReport(
-        check=rep.check, parameters={**rep.parameters, "config": provenance},
-        metric=rep.metric, threshold=rep.threshold,
-        direction=rep.direction, passed=rep.passed)
+    rep = rep.with_parameters(config=provenance)
     write_report(rep, sub("lnd"), "lnd_study")
     reports.append(rep)
 
@@ -603,10 +577,7 @@ def cmd_verify_all(args) -> int:
                                       tail_compensation=False))
     rep = analysis.holder_slope(h_ens, [2.0 ** -k for k in range(4, 10)],
                                 threshold=0.2)
-    rep = analysis.CheckReport(
-        check=rep.check, parameters={**rep.parameters, "config": provenance},
-        metric=rep.metric, threshold=rep.threshold,
-        direction=rep.direction, passed=rep.passed)
+    rep = rep.with_parameters(config=provenance)
     write_report(rep, sub("holder"), "holder_slope")
     reports.append(rep)
 

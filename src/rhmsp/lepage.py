@@ -24,7 +24,8 @@ from scipy.special import gamma as _gamma_fn
 from scipy.special import roots_genlaguerre as _roots_genlaguerre
 from scipy.special import zeta as _zeta
 
-from .model import ProcessSpec, StabilityIndex, eval_kernel
+from .model import (ProcessSpec, StabilityIndex, eval_kernel, kernel_rotation,
+                    phase_step)
 from .norms import FddPoint
 
 __all__ = [
@@ -173,9 +174,51 @@ def _tail_variance_profile(spec: ProcessSpec, grid, config: LePageConfig,
     return c_alpha ** 2 * gauss_sigma ** 2 * tail_weight * v_grid
 
 
+# Cap on the grid rows x series terms of one synthesis block.  It depends on
+# the term count alone, so a path's values never depend on the path count.
+_BLOCK_ELEMENTS = 1 << 14
+
+
+def _draw_series(seed: int, path: int, terms: int, alpha: float,
+                 gauss_sigma: float):
+    """Series draws of one path from its Philox stream keyed by (seed, path),
+    in the fixed order Gamma increments, xi, Re g, Im g.  Returns the
+    generator (positioned for the tail-compensation normals), xi and the
+    complex weights Gamma_k^{-1/alpha} phi(xi_k)^{-1/alpha} g_k."""
+    rng = np.random.Generator(np.random.Philox(
+        key=np.array([seed, path], dtype=np.uint64)))
+    gammas = np.cumsum(rng.exponential(size=terms))
+    xi = rng.standard_cauchy(size=terms)
+    g_re = rng.standard_normal(size=terms)
+    g_im = rng.standard_normal(size=terms)
+    gk = gauss_sigma * (g_re + 1j * g_im)
+    w = (gammas ** (-1.0 / alpha) * _cauchy_density(xi) ** (-1.0 / alpha)) * gk
+    return rng, xi, w
+
+
 def sample_paths(spec: ProcessSpec, grid: Sequence[float], path_count: int,
                  config: LePageConfig = LePageConfig()) -> PathEnsemble:
-    """Simulate path_count paths of the process on the grid."""
+    """Simulate path_count paths of the process on the grid.
+
+    A path at t > 0 is c_alpha Re sum_k f(t, xi_k) w_k (plus, with tail
+    compensation, an independent normal of the tail's standard deviation),
+    and 0 at t = 0.  The sum is taken a block of grid rows at a time, at most
+    `_BLOCK_ELEMENTS` rows x terms (one row when a row alone is larger), with
+    vectorized numpy calls:
+
+    * the kernel's additive step is bit-identical to `eval_kernel`'s: theta
+      = t xi_k is rounded once and enters only through `model.phase_step`;
+    * the t-free factors are hoisted.  When p = H(t) + 1/alpha is the same on
+      every row, |xi_k|^{-p}, the rotation and w_k fold into one complex
+      coefficient per term; otherwise log|xi_k| is taken once, the envelope
+      per element as exp(-p log|xi_k|), and the rotation splits into the
+      per-row scalars cos and sin of rho pi p / 2 against w_k and i sgn(xi_k) w_k.
+
+    Only multiplicative factors are reassociated, and the sum over k is
+    reordered (BLAS), so each term is within a few ulps of
+    Re f(t, xi_k) w_k and a row within about n eps sum_k |terms| of the
+    per-point sum (n = terms, eps = 2^-52).
+    """
     grid = tuple(float(t) for t in grid)
     if len(grid) == 0 or grid[0] != 0.0:
         raise ValueError("grid must start at 0")
@@ -195,28 +238,46 @@ def sample_paths(spec: ProcessSpec, grid: Sequence[float], path_count: int,
     else:
         tail_sd = None
 
+    live = np.flatnonzero(t_arr > 0.0)      # f(0, .) = 0 for every variant
+    t_live = t_arr[live]
+    p_live = spec.hurst(t_live) + 1.0 / a
+    hoist = bool(np.all(p_live == p_live[:1]))
+    # per-row rotation e^{i rho pi p / 2} at sgn(xi) = +1 (None for X)
+    turn = None if hoist else kernel_rotation(spec.kernel, p_live, 1.0)
+    rows = max(1, _BLOCK_ELEMENTS // n)
+
     seeds = tuple((int(config.seed), j) for j in range(path_count))
     paths = np.empty((path_count, len(grid)))
-    block = max(1, min(len(grid), (1 << 22) // n))
     for j in range(path_count):
-        rng = np.random.Generator(np.random.Philox(
-            key=np.array([config.seed, j], dtype=np.uint64)))
-        gammas = np.cumsum(rng.exponential(size=n))
-        xi = rng.standard_cauchy(size=n)
-        g_re = rng.standard_normal(size=n)
-        g_im = rng.standard_normal(size=n)
-        gk = gauss_sigma * (g_re + 1j * g_im)
-        w = (gammas ** (-1.0 / a) * _cauchy_density(xi) ** (-1.0 / a)) * gk
-        row = np.empty(len(grid))
-        for lo in range(0, len(grid), block):
-            hi = min(lo + block, len(grid))
-            acc = np.zeros(hi - lo)
-            for i, t in enumerate(grid[lo:hi]):
-                if t == 0.0:
-                    acc[i] = 0.0  # f(0, .) = 0 for every variant
-                else:
-                    acc[i] = np.sum((eval_kernel(spec, t, xi) * w).real)
-            row[lo:hi] = c_alpha * acc
+        rng, xi, w = _draw_series(config.seed, j, n, a, gauss_sigma)
+        if np.any(xi == 0.0):
+            raise ValueError("kernel is singular at x = 0")
+        if hoist:
+            p = p_live[0] if live.size else 0.0
+            v = np.abs(xi) ** (-p) * w
+            rotation = kernel_rotation(spec.kernel, p, np.sign(xi))
+            if rotation is not None:
+                v = v * rotation
+            v = v[:, None]
+        else:
+            neg_log = -np.log(np.abs(xi))
+            v = (w[:, None] if turn is None
+                 else np.stack([w, 1j * np.sign(xi) * w], axis=1))
+        # Re sum_k (re + i im)_k v_k = re @ Re v - im @ Im v
+        v_re, v_im = np.ascontiguousarray(v.real), np.ascontiguousarray(-v.imag)
+        acc = np.zeros(len(grid))
+        for lo in range(0, live.size, rows):
+            hi = min(lo + rows, live.size)
+            re, im = phase_step(spec.kernel, np.multiply.outer(t_live[lo:hi], xi))
+            if not hoist:
+                env = np.exp(np.multiply.outer(p_live[lo:hi], neg_log))
+                re *= env
+                im *= env
+            z = re @ v_re + im @ v_im
+            acc[live[lo:hi]] = (z[:, 0] if turn is None
+                                else z[:, 0] * turn[lo:hi].real
+                                + z[:, 1] * turn[lo:hi].imag)
+        row = c_alpha * acc
         if tail_sd is not None:
             row = row + tail_sd * rng.standard_normal(size=len(grid))
             row[t_arr == 0.0] = 0.0

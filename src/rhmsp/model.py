@@ -25,6 +25,8 @@ __all__ = [
     "HurstRangeError",
     "parse_hurst",
     "eval_kernel",
+    "phase_step",
+    "kernel_rotation",
     "kernel_hat_Y",
 ]
 
@@ -233,6 +235,31 @@ class ProcessSpec:
         )
 
 
+def phase_step(kernel: KernelVariant, theta):
+    """Real and imaginary parts of the kernel's additive step at theta = t x:
+    e^{i theta} - 1 for X and F1, 1 - e^{-i theta} for Y.
+
+    Taken as cos theta - 1 (or 1 - cos theta) and sin theta from numpy's real
+    cos and sin, which on x86-64 glibc builds equal the parts of numpy's
+    complex exp(1j theta) bit for bit; the Y step is the X pair with the real
+    part negated exactly.  This is the one place the step is formed, so
+    `eval_kernel` and the LePage block synthesis share it term for term.
+    """
+    c = np.cos(theta)
+    re = 1.0 - c if kernel is KernelVariant.Y else c - 1.0
+    return re, np.sin(theta)
+
+
+def kernel_rotation(kernel: KernelVariant, p, sign_x):
+    """The multiplicative rotation e^{i rho pi p sgn(x)/2} of the kernel,
+    rho = 1 for Y and -1 for F1; None for X, which is not rotated."""
+    if kernel is KernelVariant.Y:
+        return np.exp(1j * math.pi * p * sign_x / 2.0)
+    if kernel is KernelVariant.F1:
+        return np.exp(-1j * math.pi * p * sign_x / 2.0)
+    return None
+
+
 def eval_kernel(spec: ProcessSpec, t: float, x) -> complex:
     """Pointwise kernel value f(t, x); vectorized over x.
 
@@ -241,7 +268,8 @@ def eval_kernel(spec: ProcessSpec, t: float, x) -> complex:
       Y:  (1 - e^{-itx}) |x|^{-p} e^{i pi p sign(x)/2}
       F1: f_X(t,x) e^{-i pi p sign(x)/2}  ( = -f_Y(t,-x) )
 
-    All satisfy the Hermitian symmetry f(t,-x) = conj(f(t,x)).
+    All satisfy the Hermitian symmetry f(t,-x) = conj(f(t,x)).  The step is
+    `phase_step` and the rotation `kernel_rotation`.
     """
     t = float(t)
     if not 0.0 <= t <= spec.horizon:
@@ -250,15 +278,11 @@ def eval_kernel(spec: ProcessSpec, t: float, x) -> complex:
     if np.any(x_arr == 0.0):
         raise ValueError("kernel is singular at x = 0")
     p = spec.hurst(t) + 1.0 / spec.alpha.alpha
-    envelope = np.abs(x_arr) ** (-p)
-    if spec.kernel is KernelVariant.X:
-        out = (np.exp(1j * t * x_arr) - 1.0) * envelope
-    elif spec.kernel is KernelVariant.Y:
-        out = ((1.0 - np.exp(-1j * t * x_arr)) * envelope
-               * np.exp(1j * math.pi * p * np.sign(x_arr) / 2.0))
-    else:  # F1
-        out = ((np.exp(1j * t * x_arr) - 1.0) * envelope
-               * np.exp(-1j * math.pi * p * np.sign(x_arr) / 2.0))
+    re, im = phase_step(spec.kernel, t * x_arr)
+    out = (re + 1j * im) * np.abs(x_arr) ** (-p)
+    rotation = kernel_rotation(spec.kernel, p, np.sign(x_arr))
+    if rotation is not None:
+        out = out * rotation
     return out if out.ndim else complex(out)
 
 

@@ -193,3 +193,50 @@ def test_localtime_snaps_t_to_grid(tmp_path, capsys):
     rep = json.loads((out / "mass_identity.json").read_text())
     assert rep["parameters"]["t"] == 1.0 / 3.0
     assert rep["pass"] is True
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["lnd", "--center", "-1"], "error: center must be positive"),
+    (["localize", "--t", "3.99", "--deltas", "0.1"], "error: t + delta"),
+    (["localize", "--t", "0.5", "--deltas", "0.1,3.6"], "error: t + delta"),
+    (["cf-check", "--grid", "0:9:3"], "error: grid leaves the horizon"),
+    (["localtime", "--grid", "0:1:4", "--t", "0.6"], "error: --t must lie on the grid"),
+    (["ft-check", "--h", "1.5", "--t", "-1"], "error: t must be positive"),
+    (["holder", "--grid", "0:9:3"], "error: grid leaves the horizon"),
+])
+def test_rejected_command_leaves_no_out_dir(tmp_path, capsys, argv, message):
+    out = tmp_path / "results"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
+def test_rejected_simulate_leaves_no_parent_dir(tmp_path, capsys):
+    out = tmp_path / "results" / "p.csv"
+    assert run(["simulate", "--grid", "0:9:3", "--out", str(out)]) == 2
+    assert not (tmp_path / "results").exists()
+
+
+def test_out_dir_created_with_first_artifact(tmp_path, capsys):
+    out = tmp_path / "a" / "b"
+    assert run(["ft-check", "--h", "1.5", "--t", "1", "--u", "0.25",
+                "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["ft_check.json"]
+
+
+def test_singular_draw_is_one_error_line(tmp_path, capsys, monkeypatch):
+    from rhmsp import lepage
+    draw = lepage._draw_series
+
+    def degenerate(*args):
+        rng, xi, w = draw(*args)
+        xi[1] = 0.0
+        return rng, xi, w
+
+    monkeypatch.setattr(lepage, "_draw_series", degenerate)
+    out = tmp_path / "p.csv"
+    assert run(["simulate", "--grid", "0:1:8", "--paths", "1", "--terms", "120",
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: kernel is singular at x = 0\n"
+    assert not out.exists()

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from rhmsp import lepage
 from rhmsp.lepage import (LePageConfig, bias_budget, derive_constants,
                           empirical_cf, ensemble_to_csv, sample_paths,
                           truncation_diagnostic)
+from rhmsp.model import eval_kernel
 from rhmsp.norms import FddPoint, exact_cf
 from rhmsp.quad import QuadratureConfig
 
@@ -110,6 +112,122 @@ def test_empirical_cf_requires_grid_times(default_spec):
     ens = sample_paths(default_spec, (0.0, 0.5), 2, LePageConfig(terms=100))
     with pytest.raises(ValueError):
         empirical_cf(ens, FddPoint(times=(0.3,), coeffs=(1.0,)))
+
+
+# ---------------------------------------------------------------------------
+# block synthesis against the per-point series
+# ---------------------------------------------------------------------------
+
+BLOCK_GRIDS = {
+    "uniform": tuple(np.linspace(0.0, 1.0, 65)),
+    "window": (0.0,) + tuple(np.linspace(0.5, 0.52, 129)),
+    # no point below 0.05: the tail-variance quadrature raises at
+    # t = 0.0058113 for the sine H below, with or without block synthesis
+    "irregular": (0.0,) + tuple(np.sort(
+        np.random.default_rng(3).uniform(0.05, 3.9, 40))),
+}
+
+
+def _per_point_paths(spec, grid, path_count, config):
+    """Re-sum each path point by point: c_alpha Re sum_k f(t, xi_k) w_k with
+    one `eval_kernel` call per grid point, from the same Philox draws, plus
+    the tail normals; also returns sum_k |terms| per point."""
+    a = spec.alpha.alpha
+    c_alpha, gauss_sigma = derive_constants(spec.alpha)
+    t_arr = np.asarray(grid)
+    values = np.zeros((path_count, len(grid)))
+    scales = np.zeros((path_count, len(grid)))
+    if config.tail_compensation:
+        tail_sd = np.sqrt(np.maximum(lepage._tail_variance_profile(
+            spec, t_arr, config, c_alpha, gauss_sigma), 0.0))
+    for j in range(path_count):
+        rng = np.random.Generator(np.random.Philox(
+            key=np.array([config.seed, j], dtype=np.uint64)))
+        n = config.terms
+        gammas = np.cumsum(rng.exponential(size=n))
+        xi = rng.standard_cauchy(size=n)
+        g = gauss_sigma * (rng.standard_normal(size=n)
+                           + 1j * rng.standard_normal(size=n))
+        w = gammas ** (-1.0 / a) * (math.pi * (1.0 + xi * xi)) ** (1.0 / a) * g
+        for i, t in enumerate(grid):
+            if t > 0.0:
+                terms = c_alpha * (eval_kernel(spec, t, xi) * w).real
+                values[j, i] = np.sum(terms)
+                scales[j, i] = np.sum(np.abs(terms))
+        if config.tail_compensation:
+            values[j] += np.where(t_arr > 0.0, tail_sd * rng.standard_normal(
+                size=len(grid)), 0.0)
+    return values, scales
+
+
+@pytest.mark.parametrize("grid_name", sorted(BLOCK_GRIDS))
+@pytest.mark.parametrize("hurst", ["const:0.7", "sine:0.55,0.1,2,0.3"])
+@pytest.mark.parametrize("kernel", ["X", "Y", "F1"])
+def test_block_synthesis_matches_per_point_series(kernel, hurst, grid_name):
+    spec = make_spec(hurst=hurst, kernel=kernel)
+    grid = BLOCK_GRIDS[grid_name]
+    for tail in (False, True):
+        cfg = LePageConfig(terms=300, seed=21, tail_compensation=tail)
+        ens = sample_paths(spec, grid, 2, cfg)
+        ref, scale = _per_point_paths(spec, ens.grid, 2, cfg)
+        assert np.all(np.abs(ens.paths - ref) <= 1e-13 * scale)
+        assert np.all(ens.paths[:, 0] == 0.0)
+
+
+def test_path_is_independent_of_path_count():
+    # grids of several blocks each; a block never spans paths
+    spec = make_spec(hurst="sine:0.55,0.1,2,0.3", kernel="Y")
+    cfg = LePageConfig(terms=1000, seed=4, tail_compensation=False)
+    rows = lepage._BLOCK_ELEMENTS // cfg.terms
+    grid = tuple(np.linspace(0.0, 1.0, 3 * rows + 2))
+    one = sample_paths(spec, grid, 1, cfg)
+    for count in (2, 5):
+        more = sample_paths(spec, grid, count, cfg)
+        assert np.array_equal(one.paths[0], more.paths[0])
+    assert np.array_equal(sample_paths(spec, grid, 2, cfg).paths[1], more.paths[1])
+
+
+def test_kernel_step_calls_per_path_are_one_per_block(monkeypatch):
+    calls = {"step": 0, "eval_kernel": 0}
+    step = lepage.phase_step
+
+    def counting_step(*args):
+        calls["step"] += 1
+        return step(*args)
+
+    def no_eval_kernel(*args):
+        calls["eval_kernel"] += 1
+        return eval_kernel(*args)
+
+    monkeypatch.setattr(lepage, "phase_step", counting_step)
+    monkeypatch.setattr(lepage, "eval_kernel", no_eval_kernel)
+    cfg = LePageConfig(terms=500, seed=2, tail_compensation=False)
+    grid = tuple(np.linspace(0.0, 1.0, 301))
+    paths = 3
+    sample_paths(make_spec(hurst="sine:0.55,0.1,2,0.3"), grid, paths, cfg)
+    rows = max(1, lepage._BLOCK_ELEMENTS // cfg.terms)
+    assert calls["step"] <= paths * math.ceil(len(grid) / rows)
+    assert calls["eval_kernel"] == 0
+
+
+def test_grid_of_time_zero_only(default_spec):
+    for tail in (False, True):
+        ens = sample_paths(default_spec, (0.0,), 2,
+                           LePageConfig(terms=100, tail_compensation=tail))
+        assert ens.paths.shape == (2, 1) and np.all(ens.paths == 0.0)
+
+
+def test_singular_draw_raises(default_spec, monkeypatch):
+    draw = lepage._draw_series
+
+    def degenerate(*args):
+        rng, xi, w = draw(*args)
+        xi[7] = 0.0
+        return rng, xi, w
+
+    monkeypatch.setattr(lepage, "_draw_series", degenerate)
+    with pytest.raises(ValueError, match="kernel is singular at x = 0"):
+        sample_paths(default_spec, GRID, 2, LePageConfig(terms=100))
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,6 @@ from .localtime import (
     occupation_formula_check,
     local_time_second_moment,
     ensemble_path,
-    localtime_holder_in_x,
 )
 from .analysis import (
     CheckReport,

@@ -17,18 +17,14 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 from scipy import integrate as _sciint
 from scipy import ndimage as _ndimage
-from scipy import optimize as _sciopt
 from scipy.special import gamma as _gamma_fn
 
 from .model import HurstFunction, KernelVariant, ProcessSpec, StabilityIndex
 from .norms import (
-    FddPoint,
     OptimizerConfig,
-    OptimizerError,
-    _grad_component,
     _raw_norm_integral,
+    _span_distance,
     increment_norm,
-    scale_norm,
 )
 from .quad import OscillationHint, QuadratureConfig, integrate_even_singular, oscillatory_ft
 
@@ -354,38 +350,12 @@ def _increment_lnd_ratio(spec: ProcessSpec, times: Sequence[float],
     n = len(times)
     alpha = spec.alpha.alpha
     inc = increment_norm(spec, times[-1], times[-2], cfg)
-    if n == 2:
-        dist = _raw_norm_integral(spec, times, (-1.0, 1.0), cfg) ** (1.0 / alpha)
-        return dist / inc, ()
-
-    def objective(c):
-        return _raw_norm_integral(spec, times, _increment_coeffs(n, c), cfg)
-
-    def gradient(c):
-        w = _increment_coeffs(n, c)
-        # _grad_component returns dF w.r.t. the negated j-th coefficient
-        d = [_grad_component(spec, times, w, j, cfg) for j in range(n - 1)]
-        return np.array([-d[k] + d[k + 1] for k in range(n - 2)])
-
-    x0 = np.zeros(n - 2)
-    res = _sciopt.minimize(objective, x0, jac=gradient, method="BFGS",
-                           options={"gtol": opt_cfg.grad_tol,
-                                    "maxiter": opt_cfg.max_iter})
-    best_x, best_f = res.x, float(res.fun)
-    gnorm = float(np.max(np.abs(gradient(best_x))))
-    if gnorm > opt_cfg.grad_tol:
-        res2 = _sciopt.minimize(objective, best_x, method="Nelder-Mead",
-                                options={"xatol": 1e-9, "fatol": 1e-14,
-                                         "maxiter": 400 * max(1, n - 2)})
-        if float(res2.fun) <= best_f:
-            best_x, best_f = res2.x, float(res2.fun)
-        gnorm = float(np.max(np.abs(gradient(best_x))))
-        if gnorm > opt_cfg.grad_tol:
-            raise OptimizerError(
-                "LND study minimization not stationary: |grad| = %.3e > %.3e"
-                % (gnorm, opt_cfg.grad_tol), best_x, gnorm)
+    # the combination is affine in c: v0 plus c_k times row k of V
+    v0 = np.array(_increment_coeffs(n, ()))
+    V = np.array([_increment_coeffs(n, row) for row in np.eye(n - 2)]).reshape(n - 2, n) - v0
+    best_f, best_x = _span_distance(spec, times, v0, V, np.zeros(n - 2), cfg, opt_cfg)
     dist = best_f ** (1.0 / alpha)
-    return dist / inc, tuple(float(v) for v in np.atleast_1d(best_x))
+    return dist / inc, tuple(float(v) for v in best_x)
 
 
 def hy_chain_bound(spec: ProcessSpec, t_prev: float, t_n: float,

@@ -22,7 +22,7 @@ from . import analysis, lepage, localtime
 from .lepage import LePageConfig, derive_constants, sample_paths
 from .model import KernelVariant, ProcessSpec, StabilityIndex
 from .norms import FddPoint, OptimizerConfig, exact_cf, scale_norm
-from .quad import QuadratureConfig
+from .quad import QuadratureConfig, QuadratureError
 
 __all__ = ["run", "main"]
 
@@ -693,7 +693,7 @@ def run(argv: Sequence[str]) -> int:
         if not getattr(args, "command", None):
             raise CliError("expected one of: %s" % ", ".join(COMMANDS))
         return _DISPATCH[args.command](args)
-    except CliError as exc:
+    except (CliError, QuadratureError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

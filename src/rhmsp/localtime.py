@@ -36,7 +36,6 @@ __all__ = [
     "occupation_histogram",
     "occupation_formula_check",
     "local_time_second_moment",
-    "localtime_holder_in_x",
     "ensemble_path",
 ]
 
@@ -278,40 +277,3 @@ def local_time_second_moment(spec: ProcessSpec, t: float, h: float, x: float,
 def ensemble_path(ensemble, index: int) -> SamplePath:
     """View one ensemble row as a SamplePath."""
     return SamplePath(times=ensemble.grid, values=ensemble.paths[index])
-
-
-def localtime_holder_in_x(ensemble, t: float, bin_count: int) -> float:
-    """Empirical Hoelder-in-x exponent of the local time.
-
-    Per path: histogram local-time estimates at two bin resolutions; regress
-    log mean|L(t, x+delta) - L(t, x)| on log delta over dyadic bin shifts;
-    the median per-path slope is returned (to be compared with the
-    theoretical bound (1/hCheck - 1)/2).
-    """
-    if bin_count < 16:
-        raise ValueError("binCount too small for dyadic shift regression")
-    slopes = []
-    for j in range(ensemble.paths.shape[0]):
-        path = ensemble_path(ensemble, j)
-        per_res = []
-        for nb in (bin_count, 2 * bin_count):
-            est = occupation_histogram(path, t, nb)
-            if est.degenerate:
-                continue
-            vals = est.values
-            deltas, diffs = [], []
-            for k in (1, 2, 4, 8):
-                if k >= vals.size:
-                    break
-                d = float(np.mean(np.abs(vals[k:] - vals[:-k])))
-                if d > 0:
-                    deltas.append(k * est.bin_width)
-                    diffs.append(d)
-            if len(deltas) >= 3:
-                slope = np.polyfit(np.log(deltas), np.log(diffs), 1)[0]
-                per_res.append(slope)
-        if per_res:
-            slopes.append(float(np.mean(per_res)))
-    if not slopes:
-        raise ValueError("no usable paths for the slope estimate")
-    return float(np.median(slopes))

@@ -63,10 +63,13 @@ class FddPoint:
         object.__setattr__(self, "coeffs", coeffs)
 
 
+# quasi-Newton iterations before the simplex fallback
+_MAX_ITER = 200
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     grad_tol: float = 1e-5
-    max_iter: int = 200
 
     def __post_init__(self):
         if not self.grad_tol > 0:
@@ -364,16 +367,57 @@ def _grad_component(spec: ProcessSpec, times, coeffs, j,
     return -alpha * total  # dG/da_j = -f_j
 
 
+def _span_distance(spec: ProcessSpec, times, v0, V, x0,
+                   cfg: QuadratureConfig, opt_cfg: OptimizerConfig):
+    """(min, argmin) of the convex map a -> ||v0 + V^T a||_alpha^alpha, where
+    v0 and the rows of the array V are coefficient vectors on X(times).
+
+    Quasi-Newton runs with the gradient taken under the integral (alpha > 1
+    makes |.|^alpha continuously differentiable), with a simplex fallback;
+    stationarity is certified by the quadrature gradient.
+    """
+    moved = [j for j in range(V.shape[1]) if V[:, j].any()]
+
+    def coeffs(a):
+        return tuple(float(c) for c in v0 + a @ V)
+
+    def objective(a):
+        return _raw_norm_integral(spec, times, coeffs(a), cfg)
+
+    def gradient(a):
+        w = coeffs(a)
+        # _grad_component differentiates along -f_j, so dF/dw_j is its negative
+        dw = np.zeros(V.shape[1])
+        for j in moved:
+            dw[j] = -_grad_component(spec, times, w, j, cfg)
+        return V @ dw
+
+    if not len(x0):  # an empty span
+        return objective(x0), x0
+    res = _sciopt.minimize(objective, x0, jac=gradient, method="BFGS",
+                           options={"gtol": opt_cfg.grad_tol, "maxiter": _MAX_ITER})
+    best_x, best_f = res.x, float(res.fun)
+    gnorm = float(np.max(np.abs(gradient(best_x))))
+    if gnorm > opt_cfg.grad_tol:
+        # derivative-free fallback from the best iterate
+        res2 = _sciopt.minimize(objective, best_x, method="Nelder-Mead",
+                                options={"xatol": 1e-9, "fatol": 1e-14,
+                                         "maxiter": 400 * len(x0)})
+        if float(res2.fun) <= best_f:
+            best_x, best_f = res2.x, float(res2.fun)
+        gnorm = float(np.max(np.abs(gradient(best_x))))
+        if gnorm > opt_cfg.grad_tol:
+            raise OptimizerError(
+                "LND minimization not stationary: |grad| = %.3e > %.3e"
+                % (gnorm, opt_cfg.grad_tol), best_x, gnorm)
+    return best_f, best_x
+
+
 def lnd_distance(spec: ProcessSpec, times: Sequence[float],
                  cfg: QuadratureConfig = QuadratureConfig(),
                  opt_cfg: OptimizerConfig = OptimizerConfig()) -> LNDReport:
-    """Distance from X(t_n) to span{X(t_1), ..., X(t_{n-1})} in ||.||_alpha.
-
-    Minimizes the convex map a -> ||f(t_n) - Sum_k a_k f(t_k)||_alpha^alpha by
-    quasi-Newton with the gradient obtained by differentiating under the
-    integral (alpha > 1 makes |.|^alpha continuously differentiable), with a
-    simplex fallback; stationarity is certified by the quadrature gradient.
-    """
+    """Distance from X(t_n) to span{X(t_1), ..., X(t_{n-1})} in ||.||_alpha,
+    the minimum of ||f(t_n) - Sum_k a_k f(t_k)||_alpha over a."""
     times = tuple(float(t) for t in times)
     n = len(times)
     if n < 2:
@@ -382,40 +426,11 @@ def lnd_distance(spec: ProcessSpec, times: Sequence[float],
         raise ValueError("times must be strictly increasing (duplicates degenerate)")
     if times[0] <= 0.0:
         raise ValueError("LND domain is [eps, T] with eps > 0")
-    alpha = spec.alpha.alpha
-
-    def coeff_vec(a):
-        return tuple(-float(ak) for ak in a) + (1.0,)
-
-    def objective(a):
-        return _raw_norm_integral(spec, times, coeff_vec(a), cfg)
-
-    def gradient(a):
-        cs = coeff_vec(a)
-        return np.array([_grad_component(spec, times, cs, j, cfg)
-                         for j in range(n - 1)])
-
     x0 = np.zeros(n - 1)
     x0[-1] = 1.0
-    res = _sciopt.minimize(objective, x0, jac=gradient, method="BFGS",
-                           options={"gtol": opt_cfg.grad_tol,
-                                    "maxiter": opt_cfg.max_iter})
-    best_x, best_f = res.x, float(res.fun)
-    gnorm = float(np.max(np.abs(gradient(best_x))))
-    if gnorm > opt_cfg.grad_tol:
-        # derivative-free fallback from the best iterate
-        res2 = _sciopt.minimize(objective, best_x, method="Nelder-Mead",
-                                options={"xatol": 1e-9, "fatol": 1e-14,
-                                         "maxiter": 400 * (n - 1)})
-        if float(res2.fun) <= best_f:
-            best_x, best_f = res2.x, float(res2.fun)
-        gnorm = float(np.max(np.abs(gradient(best_x))))
-        if gnorm > opt_cfg.grad_tol:
-            raise OptimizerError(
-                "LND minimization not stationary: |grad| = %.3e > %.3e"
-                % (gnorm, opt_cfg.grad_tol), best_x, gnorm)
-
-    distance = best_f ** (1.0 / alpha)
+    best_f, best_x = _span_distance(spec, times, np.eye(n)[-1], -np.eye(n - 1, n),
+                                    x0, cfg, opt_cfg)
+    distance = best_f ** (1.0 / spec.alpha.alpha)
     inc = increment_norm(spec, times[-1], times[-2], cfg)
     return LNDReport(times=times, distance=distance,
                      argmin=tuple(float(v) for v in best_x),

@@ -1,33 +1,35 @@
 """Adaptive quadrature for even, power-law-singular, oscillatory integrands.
 
-All alpha-norm and Fourier-transform computations in this package reduce to
-integrals of one of two shapes:
+Every alpha-norm and Fourier transform in this package reduces to one
+half-line integral ``int_0^inf g(x) dx`` of a real or complex g with a
+power-law singularity at 0 and power-law decay at infinity, modulated by
+trigonometric components of known frequencies.  One routine, `_half_line`,
+computes it over three regions: the singular head (0, a1) under the
+substitution x = a1 e^{-v}; the middle [a1, cutoff] on nested Gauss-Kronrod
+(G7/K15) panels anchored at multiples of the fastest period; and the tail,
+where a normalized Gaussian window suppresses every oscillating component
+and the area-preserving local mean is integrated exactly under a power-law
+substitution out to x1.  Past x1 it integrates the caller's phase-average
+envelope (`OscillationHint.mean_envelope`), or else adds to the error a van
+der Corput bound per oscillating component and a power-law bound for one
+that does not oscillate.  Without oscillation the middle grows until the
+power-law bound is negligible.  Two wrappers certify its error estimate:
 
-* ``2 * int_0^inf g(x) dx`` with ``g >= 0``, a power-law singularity at 0 and
-  slow power-law decay modulated by trigonometric oscillation at infinity
-  (`integrate_even_singular`);
-* ``int_R exp(iux) f(x) dx`` with an integrable singularity at 0 and an
-  absolutely integrable envelope (`oscillatory_ft`).
+* `integrate_even_singular`: ``2 * int_0^inf g`` for ``g >= 0`` (checked on
+  every sample), with error at most ``4 * max(abs_tol, rel_tol * |value|)``;
+* `oscillatory_ft`: ``int_R exp(iux) f(x) dx`` from both half-lines (one for
+  Hermitian f), with error at most ``10 * max(abs_tol, rel_tol * scale)``,
+  the scale being the larger of the result and the half-lines' magnitudes.
 
-The engine is a nested Gauss-Kronrod (G7/K15) pair on panels, with a
-logarithmic substitution near the singular endpoint and an
-oscillation-averaged treatment of the far tail: beyond the cutoff the
-integrand is convolved with a normalized Gaussian window wide enough to
-suppress every fast frequency, which leaves a smooth local-mean function that
-is integrated exactly (the window is area-preserving, so no bias is
-introduced) under a power-law substitution.  Callers that know the phase
-structure of their integrand can supply the asymptotic phase-average envelope
-through `OscillationHint.mean_envelope`; the engine then switches to it for
-the extreme tail where direct evaluation loses phase accuracy.
-
-Integrand callables must be vectorized: they receive a 1-D ``ndarray`` and
-return an array of the same shape.
+Each raises `QuadratureError` when its bound fails.  Integrand callables
+must be vectorized: they receive a 1-D ``ndarray`` and return an array of
+the same shape.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -85,28 +87,24 @@ _WG = np.array([
 ])
 
 
+# head/middle boundary, also kept as a middle panel boundary
+_SPLIT = 1.0
+# bisection levels of one adaptive call over the head blocks or the middle
+_MAX_DEPTH = 40
+# panels one adaptive call may hold; the middle region must start below it
+_MAX_PANELS = 400_000
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Numerical-control record for the quadrature engine."""
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
-    split_points: tuple = (1.0,)
-    tail_cutoff: Optional[float] = None
-    max_depth: int = 40
-    osc_panels_per_period: int = 8
 
     def __post_init__(self):
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("rel_tol and abs_tol must be positive")
-        if self.max_depth < 10:
-            raise ValueError("max_depth must be >= 10")
-        if self.osc_panels_per_period < 4:
-            raise ValueError("osc_panels_per_period must be >= 4")
-        if any(p <= 0 for p in self.split_points):
-            raise ValueError("split points must be positive")
-        object.__setattr__(self, "split_points",
-                           tuple(sorted(set(float(p) for p in self.split_points))))
 
 
 @dataclass(frozen=True)
@@ -116,18 +114,20 @@ class OscillationHint:
     frequencies: positive base frequencies present in the integrand (for an
         alpha-norm combination these are the kernel times and their pairwise
         differences).
-    mean_envelope: optional vectorized callable returning the local
-        phase-average of the integrand; used for the extreme tail where
-        direct phase evaluation is no longer trustworthy.  The engine calls
-        it with whole arrays of tail nodes, so its cost must not grow as
-        nodes x phase samples: factor out a common envelope, or stream the
-        nodes in bounded blocks.
+    mean_envelope: vectorized callable returning the local phase-average of
+        the integrand; used for the extreme tail where direct phase
+        evaluation is no longer trustworthy.  The engine calls it with whole
+        arrays of tail nodes, so its cost must not grow as nodes x phase
+        samples: factor out a common envelope, or stream the nodes in
+        bounded blocks.
     """
 
     frequencies: tuple
-    mean_envelope: Optional[Callable] = None
+    mean_envelope: Callable
 
     def __post_init__(self):
+        if not callable(self.mean_envelope):
+            raise TypeError("mean_envelope must be callable")
         freqs = tuple(sorted({float(w) for w in self.frequencies if w > 0.0}))
         object.__setattr__(self, "frequencies", freqs)
 
@@ -163,7 +163,7 @@ def _gk_apply(f, lo, hi):
 
 
 def _adaptive_panels(f, bounds, rel_tol, abs_tol, max_depth,
-                     external_value=0.0, max_panels=400_000):
+                     external_value=0.0, max_panels=_MAX_PANELS):
     """Adaptively refine a panel list until the summed GK error estimate is
     below max(abs_tol, rel_tol * |total|).  `external_value` joins the
     relative-tolerance scale so that sub-regions of a larger integral do not
@@ -223,12 +223,6 @@ def _adaptive_panels(f, bounds, rel_tol, abs_tol, max_depth,
     return acc_val, acc_err, nev
 
 
-def _panel_bounds(a, b, max_width):
-    """Panel boundaries on [a, b] with width at most max_width."""
-    n = max(1, int(math.ceil((b - a) / max_width)))
-    return np.linspace(a, b, n + 1)
-
-
 def _aligned_panel_bounds(a, b, width):
     """Panel bounds over [a, b] anchored at integer multiples of ``width``.
 
@@ -260,7 +254,7 @@ def _geometric_bounds(a, b, ratio=2.0):
 
 
 # ---------------------------------------------------------------------------
-# integrate_even_singular
+# the half-line integrator and its two wrappers
 # ---------------------------------------------------------------------------
 
 def _guarded(g):
@@ -275,8 +269,9 @@ def _guarded(g):
     return gg
 
 
-def _singular_head(g, a1, sing_exp, rel_tol, abs_tol, max_depth, ext):
-    """Integral of g over (0, a1) via the substitution x = a1 * exp(-v)."""
+def _singular_head(g, a1, sing_exp, rel_tol, abs_tol, ext):
+    """Integral of g over (0, a1) via the substitution x = a1 * exp(-v); the
+    stopping tolerance is relative to the running total ``ext + value``."""
     def trans(v):
         x = a1 * np.exp(-v)
         return g(x) * x
@@ -293,7 +288,7 @@ def _singular_head(g, a1, sing_exp, rel_tol, abs_tol, max_depth, ext):
         if a1 * math.exp(-v1) < 1e-250:
             break
         bv, be, n = _adaptive_panels(trans, np.linspace(v0, v1, 5),
-                                     rel_tol, abs_tol, max_depth,
+                                     rel_tol, abs_tol, _MAX_DEPTH,
                                      external_value=ext + val)
         val += bv
         err += be
@@ -419,6 +414,132 @@ def _windowed_tail(part, cutoff, sigma, halfwidth, panel_width, s, x1,
     return ramp_val + out_val, ramp_err + out_err + noise, nev, x1
 
 
+# power-law bracket: C in |g(x)| <= C x^{-(1+s)} is sampled on [r, 3.1 r]
+_BRACKET = np.array([1.0, 1.3, 1.7, 2.3, 3.1])
+
+
+def _envelope_constant(g, r, s):
+    """1.5 * max |g(x)| x^{1+s} over the bracket at r."""
+    xs = r * _BRACKET
+    return float(np.max(np.abs(g(xs)) * xs ** (1.0 + s))) * 1.5
+
+
+def _half_line(g, s, singular_exponent, cfg: QuadratureConfig,
+               freqs: Sequence[float], mean_envelope=None):
+    """``int_0^inf g(x) dx`` as (value, error, evaluations) for real or
+    complex g with ``|g(x)| = O(x**-singular_exponent)`` as x -> 0+ and
+    ``O(x**-(s + 1))`` as x -> inf.  ``freqs`` are the frequencies of g's
+    components, below 1e-14 for one that does not oscillate."""
+    w_osc = sorted({float(w) for w in freqs if w > 1e-14})
+    steady = any(w <= 1e-14 for w in freqs)
+    nev = 0
+
+    if w_osc:
+        w_min, w_max = w_osc[0], w_osc[-1]
+        # the window must suppress the SLOWEST component too (beats between
+        # close frequencies survive any narrower window and force the outer
+        # integral to resolve them out to x1)
+        sigma = _window_sigma(cfg.rel_tol) / w_min
+        halfwidth = 6.5 * sigma
+        p_fast = 2.0 * math.pi / w_max
+        # half a fast period per panel; a whole one is enough at loose tolerances
+        panel_width = p_fast if cfg.rel_tol >= 1e-6 else 0.5 * p_fast
+        a1 = min(_SPLIT, 0.5 / w_max)
+        cutoff = max(4.0 * _SPLIT, 8.0 * 2.0 * math.pi / w_min)
+        panels = (cutoff - a1) / panel_width
+        if panels > _MAX_PANELS:
+            raise QuadratureError(
+                "frequencies %.6g and %.6g are too far apart: the middle region "
+                "would need %.3g panels, over the cap of %d"
+                % (w_min, w_max, panels, _MAX_PANELS))
+        edges = [a1, _SPLIT, cutoff] if a1 < _SPLIT else [a1, cutoff]
+        bounds = np.concatenate(
+            [_aligned_panel_bounds(a, b, panel_width)[:-1]
+             for a, b in zip(edges[:-1], edges[1:])] + [[cutoff]])
+    else:
+        a1, cutoff = _SPLIT, 10.0 * _SPLIT
+        bounds = _geometric_bounds(a1, cutoff)
+
+    # ---- middle region [a1, cutoff] ----
+    mid_val, mid_err, n = _adaptive_panels(g, bounds, 0.25 * cfg.rel_tol,
+                                           0.25 * cfg.abs_tol, _MAX_DEPTH)
+    nev += n
+
+    # ---- singular head (0, a1) ----
+    head_val, head_err, n = _singular_head(g, a1, singular_exponent,
+                                           0.25 * cfg.rel_tol, 0.25 * cfg.abs_tol,
+                                           ext=mid_val)
+    nev += n
+
+    running = mid_val + head_val
+
+    # ---- tail [cutoff, inf) ----
+    tail_val = 0.0
+    tail_err = 0.0
+    if w_osc:
+        x1_cap = 1e12 / max(w_max, 1e-12)
+        if mean_envelope is not None:
+            x1 = max(4.0 * cutoff, min(x1_cap, cutoff * 1e6 ** (1.0 / max(s, 0.2))))
+        else:
+            x1 = x1_cap
+
+        inner_rt = max(min(1e-10, 0.05 * cfg.rel_tol), 0.01 * cfg.rel_tol, 1e-12)
+        tv, te, n, x1 = _windowed_tail(g, cutoff, sigma, halfwidth,
+                                       panel_width, s, x1,
+                                       0.5 * cfg.rel_tol, 0.5 * cfg.abs_tol,
+                                       running, inner_rel_tol=inner_rt)
+        nev += n
+        tail_val += tv
+        tail_err += te
+        # window suppression residual: bounded by the kernel FT at w_min
+        supp = math.exp(-0.5 * (w_min * sigma) ** 2)
+        tail_err += supp * abs(tv) * 10.0 + supp * cfg.abs_tol
+
+        # beyond x1
+        if mean_envelope is not None:
+            def outer2(u):
+                u = np.atleast_1d(u)
+                x = x1 * u ** (-1.0 / s)
+                vals = np.asarray(mean_envelope(x), dtype=float)
+                return vals * (x1 / s) * u ** (-1.0 - 1.0 / s)
+
+            ub2 = np.geomspace(1e-6, 1.0, 7)
+            tv2, te2, n = _adaptive_panels(outer2, ub2, 0.5 * cfg.rel_tol,
+                                           0.5 * cfg.abs_tol, 14,
+                                           external_value=running + tail_val)
+            nev += n
+            tail_val += tv2
+            tail_err += te2 + 1e-6 * abs(tv2)  # residual weight below u=1e-6
+        else:
+            # each oscillating component is bounded van der Corput style by
+            # env(x1)/w; one that does not oscillate by its power-law tail
+            c_env = _envelope_constant(g, x1, s)
+            nev += _BRACKET.size
+            tail_err += 2.0 * c_env * x1 ** (-1.0 - s) * sum(1.0 / w for w in w_osc)
+            if steady:
+                tail_err += c_env * x1 ** (-s) / s
+    else:
+        # grow the cutoff until the power-law bound is negligible
+        r = cutoff
+        for _ in range(60):
+            bound = _envelope_constant(g, r, s) * r ** (-s) / s
+            nev += _BRACKET.size
+            tol = max(cfg.abs_tol, cfg.rel_tol * abs(running))
+            if bound <= 0.25 * tol or r > 1e12:
+                tail_err += bound
+                break
+            ev, ee, n = _adaptive_panels(g, _geometric_bounds(r, 4.0 * r),
+                                         0.25 * cfg.rel_tol, 0.25 * cfg.abs_tol,
+                                         _MAX_DEPTH, external_value=running)
+            mid_val += ev
+            mid_err += ee
+            running = mid_val + head_val
+            nev += n
+            r *= 4.0
+
+    return (head_val + mid_val + tail_val, head_err + mid_err + tail_err, nev)
+
+
 def integrate_even_singular(g, decay_exponent, singular_exponent,
                             cfg: QuadratureConfig,
                             oscillation: Optional[OscillationHint] = None) -> QuadResult:
@@ -433,134 +554,12 @@ def integrate_even_singular(g, decay_exponent, singular_exponent,
         raise ValueError("decay_exponent must be positive")
     if not singular_exponent < 1:
         raise ValueError("singular_exponent must be < 1 for integrability")
-    g = _guarded(g)
-
-    splits = list(cfg.split_points)
-    nev = 0
-
-    freqs = oscillation.frequencies if oscillation is not None else ()
-    if freqs:
-        w_min, w_max = freqs[0], freqs[-1]
-        # the window must suppress the SLOWEST component too (beats between
-        # close frequencies survive any narrower window and force the outer
-        # integral to resolve them out to x1)
-        w_win = w_min
-        sigma = _window_sigma(cfg.rel_tol) / w_win
-        halfwidth = 6.5 * sigma
-        p_fast = 2.0 * math.pi / w_max
-        panel_width = p_fast * 4.0 / cfg.osc_panels_per_period
-        if cfg.rel_tol >= 1e-6:
-            panel_width *= 2.0  # one panel per fast period is enough here
-        a1 = min(splits[0], 0.5 / w_max)
-        cutoff = max(4.0 * splits[-1], 8.0 * 2.0 * math.pi / w_win, 4.0 * a1)
-        if cfg.tail_cutoff is not None:
-            cutoff = max(cutoff, cfg.tail_cutoff)
-    else:
-        a1 = splits[0]
-        cutoff = cfg.tail_cutoff if cfg.tail_cutoff is not None else max(10.0 * splits[-1], 10.0)
-        panel_width = None
-
-    # ---- middle region [a1, cutoff] ----
-    bounds = [a1] + [p for p in splits if a1 < p < cutoff] + [cutoff]
-    if freqs:
-        refined = []
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            seg = _aligned_panel_bounds(a, b, panel_width)
-            refined.append(seg[:-1])
-        bounds = np.concatenate(refined + [[cutoff]])
-    else:
-        segs = []
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            segs.append(_geometric_bounds(a, b)[:-1])
-        bounds = np.concatenate(segs + [[cutoff]])
-
-    mid_val, mid_err, n = _adaptive_panels(g, np.asarray(bounds),
-                                           0.25 * cfg.rel_tol, 0.25 * cfg.abs_tol,
-                                           cfg.max_depth)
-    nev += n
-
-    # ---- singular head (0, a1) ----
-    head_val, head_err, n = _singular_head(g, a1, singular_exponent,
-                                           0.25 * cfg.rel_tol, 0.25 * cfg.abs_tol,
-                                           cfg.max_depth, ext=mid_val)
-    nev += n
-
-    running = mid_val + head_val
-
-    # ---- tail [cutoff, inf) ----
-    tail_val = 0.0
-    tail_err = 0.0
-    if freqs:
-        x1_cap = 1e12 / max(w_max, 1e-12)
-        if oscillation.mean_envelope is not None:
-            x1 = max(4.0 * cutoff, min(x1_cap, cutoff * 1e6 ** (1.0 / max(s, 0.2))))
-            x1 = min(x1, x1_cap) if x1_cap > 4.0 * cutoff else 4.0 * cutoff
-        else:
-            x1 = x1_cap
-
-        inner_rt = max(min(1e-10, 0.05 * cfg.rel_tol), 0.01 * cfg.rel_tol, 1e-12)
-        tv, te, n, x1 = _windowed_tail(g, cutoff, sigma, halfwidth,
-                                       panel_width, s, x1,
-                                       0.5 * cfg.rel_tol, 0.5 * cfg.abs_tol,
-                                       running, inner_rel_tol=inner_rt)
-        nev += n
-        tail_val += tv
-        tail_err += te
-        # window suppression residual: bounded by the kernel FT at w_win
-        supp = math.exp(-0.5 * (w_win * sigma) ** 2)
-        tail_err += supp * abs(tv) * 10.0 + supp * cfg.abs_tol
-
-        # beyond x1
-        if oscillation.mean_envelope is not None:
-            me = oscillation.mean_envelope
-
-            def outer2(u):
-                u = np.atleast_1d(u)
-                x = x1 * u ** (-1.0 / s)
-                vals = np.asarray(me(x), dtype=float)
-                return vals * (x1 / s) * u ** (-1.0 - 1.0 / s)
-
-            ub2 = np.geomspace(1e-6, 1.0, 7)
-            tv2, te2, n = _adaptive_panels(outer2, ub2, 0.5 * cfg.rel_tol,
-                                           0.5 * cfg.abs_tol, min(cfg.max_depth, 14),
-                                           external_value=running + tail_val)
-            nev += n
-            tail_val += tv2
-            tail_err += te2 + 1e-6 * abs(tv2)  # residual weight below u=1e-6
-        else:
-            # bracketed power-law bound beyond x1
-            xs = x1 * np.array([1.0, 1.3, 1.7, 2.3, 3.1])
-            c_env = float(np.max(g(xs) * xs ** (1.0 + s))) * 1.5
-            bound = c_env * x1 ** (-s) / s
-            tail_val += 0.5 * bound
-            tail_err += 0.5 * bound
-            nev += xs.size
-    else:
-        # grow the cutoff until the analytic power-law bound is negligible
-        r = cutoff
-        for _ in range(60):
-            xs = r * np.array([1.0, 1.3, 1.7, 2.3, 3.1])
-            vals = g(xs)
-            nev += xs.size
-            c_env = float(np.max(vals * xs ** (1.0 + s))) * 1.5
-            bound = c_env * r ** (-s) / s
-            tol = max(cfg.abs_tol, cfg.rel_tol * abs(running))
-            if bound <= 0.25 * tol or r > 1e12:
-                tail_val += 0.5 * bound
-                tail_err += 0.5 * bound
-                break
-            ext_b = _geometric_bounds(r, 4.0 * r)
-            ev, ee, n = _adaptive_panels(g, ext_b, 0.25 * cfg.rel_tol,
-                                         0.25 * cfg.abs_tol, cfg.max_depth,
-                                         external_value=running)
-            mid_val += ev
-            mid_err += ee
-            running = mid_val + head_val
-            nev += n
-            r *= 4.0
-
-    value = 2.0 * (head_val + mid_val + tail_val)
-    error = 2.0 * (head_err + mid_err + tail_err)
+    freqs, env = ((), None) if oscillation is None else (
+        oscillation.frequencies, oscillation.mean_envelope)
+    half, half_err, nev = _half_line(_guarded(g), s, singular_exponent, cfg,
+                                     freqs, env)
+    value = 2.0 * half
+    error = 2.0 * half_err
     tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
     if error > 4.0 * tol:
         raise QuadratureError(
@@ -590,6 +589,9 @@ def oscillatory_ft(f, u, envelope_decay, cfg: QuadratureConfig,
     if not envelope_decay > 1.0:
         raise ValueError("envelope_decay must exceed 1 for absolute integrability")
     u = float(u)
+    # both half-lines carry the components e^{i(u + v)x}, v in {0} + inner
+    freqs = [abs(u + v) for v in list(inner_frequencies) + [0.0]]
+    s = envelope_decay - 1.0
 
     # half-line reduction: int_R = int_0^inf [h(x) + h(-x)]
     def h(x):
@@ -598,16 +600,13 @@ def oscillatory_ft(f, u, envelope_decay, cfg: QuadratureConfig,
     def h_neg(x):
         return np.exp(-1j * u * x) * np.asarray(f(-x), dtype=complex)
 
-    val, err = _ft_half_line(h, [u + v for v in list(inner_frequencies) + [0.0]],
-                             envelope_decay, singular_exponent, cfg)
+    val, err, _ = _half_line(h, s, singular_exponent, cfg, freqs)
     if hermitian:
         total = complex(2.0 * val.real)
         scale = 2.0 * abs(val)
         err *= 2.0
     else:
-        val2, e2 = _ft_half_line(
-            h_neg, [-(u + v) for v in list(inner_frequencies) + [0.0]],
-            envelope_decay, singular_exponent, cfg)
+        val2, e2, _ = _half_line(h_neg, s, singular_exponent, cfg, freqs)
         total = complex(val + val2)
         scale = abs(val) + abs(val2)
         err += e2
@@ -619,98 +618,3 @@ def oscillatory_ft(f, u, envelope_decay, cfg: QuadratureConfig,
             "oscillatory_ft did not converge: error %.3e" % err,
             value=total, error=err)
     return complex(total)
-
-
-def _ft_half_line(h, signed_freqs, envelope_decay, singular_exponent, cfg):
-    """int_0^inf h(x) dx for complex h with known component frequencies."""
-    freqs_abs = sorted({abs(w) for w in signed_freqs})
-    w_osc = [w for w in freqs_abs if w > 1e-14]
-    s = envelope_decay - 1.0
-
-    nev = 0
-    if w_osc:
-        w_max = max(w_osc)
-        w_min = min(w_osc)
-        w_win = w_min  # suppress beats between close frequencies as well
-        sigma = _window_sigma(cfg.rel_tol) / w_win
-        halfwidth = 6.5 * sigma
-        panel_width = (2.0 * math.pi / w_max) * 4.0 / cfg.osc_panels_per_period
-        if cfg.rel_tol >= 1e-6:
-            panel_width *= 2.0
-        a1 = min(cfg.split_points[0], 0.5 / w_max)
-        cutoff = max(4.0 * cfg.split_points[-1], 8.0 * 2.0 * math.pi / w_win)
-    else:
-        a1 = cfg.split_points[0]
-        cutoff = max(10.0 * cfg.split_points[-1], 10.0)
-        panel_width = None
-
-    # singular head via log substitution
-    def run_head():
-        def trans(v):
-            x = a1 * np.exp(-v)
-            return h(x) * x
-        val = 0.0 + 0.0j
-        e = 0.0
-        v0 = 0.0
-        block = 4.0
-        rate = max(1.0 - singular_exponent, 0.05)
-        for _ in range(200):
-            v1 = v0 + block
-            if a1 * math.exp(-v1) < 1e-250:
-                break
-            bv, be, _ = _adaptive_panels(trans, np.linspace(v0, v1, 5),
-                                         0.25 * cfg.rel_tol, 0.25 * cfg.abs_tol,
-                                         cfg.max_depth)
-            val += bv
-            e += be
-            rem = abs(bv) * math.exp(-rate * block) / max(1.0 - math.exp(-rate * block), 1e-6)
-            if abs(bv) <= 0.25 * cfg.abs_tol or rem <= 0.25 * cfg.abs_tol:
-                e += rem
-                break
-            v0 = v1
-        return val, e
-
-    # middle region
-    if panel_width is not None:
-        bounds = _aligned_panel_bounds(a1, cutoff, panel_width)
-    else:
-        bounds = _geometric_bounds(a1, cutoff)
-
-    hv, he = run_head()
-    mv, me, _ = _adaptive_panels(h, bounds, 0.25 * cfg.rel_tol,
-                                 0.25 * cfg.abs_tol, cfg.max_depth)
-    pv = hv + mv
-    pe = he + me
-    # tail
-    if w_osc:
-        x1 = 1e12 / max(w_max, 1e-12)
-        inner_rt = min(1e-10, 0.05 * cfg.rel_tol)
-        inner_rt = max(inner_rt, 0.01 * cfg.rel_tol, 1e-12)
-        tv, te, _, x1 = _windowed_tail(h, cutoff, sigma, halfwidth,
-                                       panel_width, s, x1,
-                                       0.5 * cfg.rel_tol, 0.5 * cfg.abs_tol,
-                                       pv, inner_rel_tol=inner_rt)
-        pv += tv
-        supp = math.exp(-0.5 * (w_win * sigma) ** 2)
-        pe += te + supp * (abs(tv) * 10.0 + cfg.abs_tol)
-        # residual beyond x1: every component oscillates there, so the tail
-        # is bounded van der Corput style by env(x1)/w per frequency
-        xs = x1 * np.array([1.0, 1.3, 1.7])
-        c_env = float(np.max(np.abs(h(xs)) * xs ** envelope_decay)) * 2.0
-        pe += 2.0 * c_env * x1 ** (-envelope_decay) * sum(1.0 / w for w in w_osc)
-    else:
-        r = cutoff
-        for _ in range(60):
-            xs = r * np.array([1.0, 1.4, 2.0, 2.9])
-            c_env = float(np.max(np.abs(h(xs)) * xs ** envelope_decay)) * 1.5
-            bound = c_env * r ** (-s) / s
-            if bound <= 0.25 * cfg.abs_tol or r > 1e12:
-                pe += bound
-                break
-            ev, ee, _ = _adaptive_panels(h, _geometric_bounds(r, 4 * r),
-                                         0.25 * cfg.rel_tol, 0.25 * cfg.abs_tol,
-                                         cfg.max_depth)
-            pv += ev
-            pe += ee
-            r *= 4.0
-    return pv, pe

@@ -211,6 +211,23 @@ def test_rejected_command_leaves_no_out_dir(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, out_name, message", [
+    # frequencies 1e9 apart would need 8e9 middle panels
+    (["norm", "--times", "1,1.000000001", "--coeffs=-1,1"], "results",
+     "error: scale_norm quadrature failed"),
+    # the tail-variance profile cannot certify its tolerance at this t
+    (["simulate", "--grid", "0:0.0058113256844610659:1",
+      "--set", "hurst=sine:0.55,0.1,2,0.3", "--paths", "2", "--terms", "200"],
+     os.path.join("results", "p.csv"), "error: quadrature did not converge"),
+])
+def test_uncertifiable_result_is_one_error_line(tmp_path, capsys, argv, out_name,
+                                                message):
+    assert run(argv + ["--out", str(tmp_path / out_name)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not (tmp_path / "results").exists()
+
+
 def test_rejected_simulate_leaves_no_parent_dir(tmp_path, capsys):
     out = tmp_path / "results" / "p.csv"
     assert run(["simulate", "--grid", "0:9:3", "--out", str(out)]) == 2

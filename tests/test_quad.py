@@ -5,24 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rhmsp.quad import (OscillationHint, QuadratureConfig, QuadResult,
-                        integrate_even_singular, oscillatory_ft)
+from scipy import integrate
+
+from rhmsp.analysis import _ft_closed_form, _ft_integrand
+from rhmsp.quad import (OscillationHint, QuadratureConfig, QuadratureError,
+                        QuadResult, integrate_even_singular, oscillatory_ft)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_depth=5)
-    with pytest.raises(ValueError):
-        QuadratureConfig(osc_panels_per_period=2)
-    with pytest.raises(ValueError):
-        QuadratureConfig(split_points=(0.0,))
 
 
-def test_split_points_sorted_deduped():
-    cfg = QuadratureConfig(split_points=(2.0, 1.0, 2.0))
-    assert cfg.split_points == (1.0, 2.0)
+def test_hint_requires_envelope():
+    # without the phase-mean envelope the tail past x1 would go unbounded
+    with pytest.raises(TypeError):
+        OscillationHint(frequencies=(1.0,), mean_envelope=None)
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +111,64 @@ def test_ft_gaussian_property(w, u, sign):
                          hermitian=True)
     want = w * math.sqrt(2.0 * math.pi) * math.exp(-0.5 * (w * u) ** 2)
     assert complex(got).real == pytest.approx(want, rel=1e-7, abs=1e-10)
+
+
+def _qawf_ft(h, t, u):
+    """int_R e^{iux} f_{h,t}(x) dx by scipy's QUADPACK: f is Hermitian, so the
+    transform is 2 Re int_0^inf, with QAGS on [0, 1] and QAWF on [1, inf)."""
+    phi = math.pi * h / 2.0
+
+    def re_part(x):
+        return (math.cos((u - t) * x + phi) - math.cos(u * x + phi)) * x ** -h
+
+    head, _ = integrate.quad(re_part, 0.0, 1.0, epsabs=1e-13, epsrel=1e-12, limit=200)
+    tail = 0.0
+    # cos(a x + phi) = cos(phi) cos(a x) - sin(phi) sin(a x), for a = u - t and u
+    for a, sign in ((u - t, 1.0), (u, -1.0)):
+        for weight, coef in (("cos", math.cos(phi)),
+                             ("sin", -math.sin(phi) * math.copysign(1.0, a))):
+            val, _ = integrate.quad(lambda x: x ** -h, 1.0, np.inf, weight=weight,
+                                    wvar=abs(a), epsabs=1e-13, limlst=200)
+            tail += sign * coef * val
+    return 2.0 * (head + tail)
+
+
+@pytest.mark.parametrize("u", [-1.3, 0.4, 2.5])
+def test_ft_against_quadpack_qawf(u):
+    h, t = 1.5, 1.0
+    cfg = QuadratureConfig(rel_tol=1e-7, abs_tol=1e-7)
+    got = oscillatory_ft(_ft_integrand(h, t), u, envelope_decay=h, cfg=cfg,
+                         inner_frequencies=(-t,), singular_exponent=h - 1.0,
+                         hermitian=True)
+    want = _qawf_ft(h, t, u)
+    assert want == pytest.approx(_ft_closed_form(h, t, u), abs=1e-8)
+    assert got.real == pytest.approx(want, rel=1e-6, abs=1e-6)
+
+
+@pytest.mark.parametrize("u", [0.0, 1.0])
+def test_ft_component_at_zero_frequency_is_certified_or_raises(u):
+    # at u = 0 or u = t one component of e^{iux} f does not oscillate; past
+    # the windowed tail it decays like x^{1-h}, which h = 1.2 leaves far
+    # above the tolerance and h = 1.8 does not
+    cfg = QuadratureConfig(rel_tol=1e-7, abs_tol=1e-7)
+
+    def ft(h):
+        return oscillatory_ft(_ft_integrand(h, 1.0), u, envelope_decay=h, cfg=cfg,
+                              inner_frequencies=(-1.0,), singular_exponent=h - 1.0,
+                              hermitian=True)
+
+    with pytest.raises(QuadratureError):
+        ft(1.2)
+    assert ft(1.8).real == pytest.approx(_ft_closed_form(1.8, 1.0, u), rel=1e-7, abs=1e-7)
+
+
+def test_far_apart_frequencies_raise_before_panels_are_built():
+    # w_max / w_min = 1e9 would need 1.6e10 middle panels
+    cfg = QuadratureConfig(rel_tol=1e-7, abs_tol=1e-7)
+    with pytest.raises(QuadratureError, match="too far apart"):
+        oscillatory_ft(_ft_integrand(1.5, 1.0), 1e-9, envelope_decay=1.5, cfg=cfg,
+                       inner_frequencies=(-1.0,), singular_exponent=0.5,
+                       hermitian=True)
 
 
 def test_ft_requires_integrable_decay():

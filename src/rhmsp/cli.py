@@ -282,15 +282,15 @@ def cmd_norm(args) -> int:
     coeffs = parse_floats(args.coeffs, "coeffs")
     if len(times) != len(coeffs):
         raise CliError("--times and --coeffs lengths differ")
+    out = check_out_dir(args.out, args.force) if args.out else None
     try:
         point = FddPoint(times=tuple(times), coeffs=tuple(coeffs))
+        value = scale_norm(spec, point, qcfg)
     except ValueError as exc:
         raise CliError(str(exc))
-    value = scale_norm(spec, point, qcfg)
     cf = math.exp(-value ** spec.alpha.alpha)
     print("PASS norm: scale_norm=%.12g exact_cf=%.12g" % (value, cf))
-    if args.out:
-        out = check_out_dir(args.out, args.force)
+    if out:
         payload = {"config": cfg, "times": times, "coeffs": coeffs,
                    "scale_norm": value, "exact_cf": cf}
         write_text(os.path.join(out, "norm.json"), sidecar_json(payload))

@@ -113,8 +113,12 @@ def occupation_histogram(path: SamplePath, t: float, bin_count: int,
     """Histogram occupation-density estimate of the path over [start, t].
 
     Every step [t_i, t_{i+1}) with start <= t_i < t adds its length to the
-    bin of X(t_i); values are mass / binWidth.  When `edges` is given the
-    supplied uniform edges are used (shared-edge additivity studies).
+    bin of X(t_i); values are mass / binWidth.  Without `edges`, the
+    bin_count bins have width span / (bin_count - 1) and the first is centred
+    on the path's minimum, so both extremes sit half a bin inside and a
+    round-off change of the path cannot move them across an edge.  When
+    `edges` is given the supplied uniform edges are used (shared-edge
+    additivity studies).  A value x goes to bin floor((x - edges[0]) / width).
     """
     t = float(t)
     start = float(start)
@@ -145,10 +149,11 @@ def occupation_histogram(path: SamplePath, t: float, bin_count: int,
             width = 1.0
             edges = np.array([lo - 0.5, lo + 0.5])
         else:
-            width = span / (bin_count - 2)
-            edges = (lo - width) + width * np.arange(bin_count + 1)
+            # the extremes sit half a bin inside, so no sample lies on an edge
+            width = span / (bin_count - 1)
+            edges = (lo - 0.5 * width) + width * np.arange(bin_count + 1)
     nbins = edges.size - 1
-    pos = np.clip(((xs - edges[0]) / width).astype(int), 0, nbins - 1)
+    pos = np.clip(np.floor((xs - edges[0]) / width).astype(int), 0, nbins - 1)
     mass = np.bincount(pos, weights=dts, minlength=nbins)
     return LocalTimeEstimate(window=(start, t), x_grid=edges,
                              values=mass / width, bin_width=width,

@@ -162,17 +162,27 @@ def _build_terms(spec: ProcessSpec, times, coeffs) -> Optional[_Terms]:
                   c0=np.asarray(c0, dtype=complex), alpha=alpha)
 
 
-def _frequency_set(terms: _Terms) -> Tuple[float, ...]:
-    """All oscillation frequencies of |combo|^alpha: the |nu_k| themselves
-    (cross terms with the constants) and the pairwise |nu_i - nu_j|."""
-    vals = set()
-    nu = terms.nu
-    for k in range(nu.size):
-        vals.add(abs(nu[k]))
-        for j in range(k):
-            vals.add(abs(nu[k] - nu[j]))
-    vals = sorted(v for v in vals if v > 1e-15)
-    return tuple(vals)
+def _frequency_set(*combos: _Terms) -> Tuple[float, ...]:
+    """Oscillation frequencies of |G|^alpha and |G|^{alpha-2} Re(conj(G) D)
+    for the combinations G (and D): the pairwise |nu_i - nu_j| over all their
+    terms, and the |nu_k| themselves, which come from cross terms with the
+    constant parts.
+
+    The |nu_k| are left out when every exponent p_k of every combination is
+    equal (constant H) and each combination's constant part Sum lam_k c0_k
+    vanishes to round-off, |Sum lam_k c0_k| <= 8 eps Sum |lam_k c0_k|.  Then
+    every combination is c1 x^{-p} Sum lam_k e^{i nu_k x}, and both integrands
+    carry only the beats.  Const-H increments and increment directions are
+    such combinations; unit vectors f_j are not."""
+    nu = np.concatenate([c.nu for c in combos])
+    vals = {abs(nu[k] - nu[j]) for k in range(nu.size) for j in range(k)}
+    p = np.concatenate([c.p for c in combos])
+    parts = [c.lam * c.c0 for c in combos]
+    constant_free = np.all(p == p[0]) and all(
+        abs(q.sum()) <= 8.0 * np.finfo(float).eps * np.abs(q).sum() for q in parts)
+    if not constant_free:
+        vals.update(abs(v) for v in nu)
+    return tuple(sorted(v for v in vals if v > 1e-15))
 
 
 def _phase_samples(freqs: Sequence[float]) -> np.ndarray:
@@ -312,59 +322,51 @@ def increment_norm(spec: ProcessSpec, t: float, s: float,
 # LND distance: convex minimization over the span of past values
 # ---------------------------------------------------------------------------
 
-def _grad_component(spec: ProcessSpec, times, coeffs, j,
+def _grad_component(spec: ProcessSpec, times, coeffs, direction,
                     cfg: QuadratureConfig) -> float:
-    """d/da_j of int |G|^alpha where G = Sum coeffs_k f(t_k) and the j-th
-    coefficient enters as -a_j: returns -alpha int |G|^{alpha-2} Re(conj(G) f_j).
+    """Derivative of int |G|^alpha along D, where G = Sum coeffs_k f(t_k) and
+    D = Sum direction_k f(t_k): returns alpha int |G|^{alpha-2} Re(conj(G) D).
 
     The integrand changes sign, so it is split into positive and negative
-    parts, each a valid input for the even-singular engine.
+    parts, each a valid input for the even-singular engine.  Its frequencies
+    are those of G and D together, so an increment direction at an
+    increment G under constant H carries only the beats.
     """
     terms = _build_terms(spec, times, coeffs)
-    if terms is None:
+    along = _build_terms(spec, times, direction)
+    if terms is None or along is None:
         return 0.0
     alpha = terms.alpha
-    tj = float(times[j])
-    unit = _build_terms(spec, (tj,), (1.0,))
-    # frequencies of |G|^{alpha-2} conj(G), plus those coupling G with f_j
-    fr = set(_frequency_set(terms))
-    for nk in terms.nu:
-        for nj in unit.nu:
-            d = abs(nk - nj)
-            if d > 1e-15:
-                fr.add(d)
-    for nj in unit.nu:
-        fr.add(abs(nj))
-    freqs = tuple(sorted(fr))
+    freqs = _frequency_set(terms, along)
 
-    p_min = float(min(np.min(terms.p), np.min(unit.p)))
-    p_max = float(max(np.max(terms.p), np.max(unit.p)))
-    decay = (alpha - 1.0) * p_min + float(np.min(unit.p)) - 1.0
+    p_min = float(min(np.min(terms.p), np.min(along.p)))
+    p_max = float(max(np.max(terms.p), np.max(along.p)))
+    decay = (alpha - 1.0) * p_min + float(np.min(along.p)) - 1.0
     singular = alpha * (p_max - 1.0)
 
-    def signed(G, fj):
+    def signed(G, D):
         absG = np.abs(G)
         out = np.zeros_like(absG)
         mask = absG > 0.0
         out[mask] = (absG[mask] ** (alpha - 2.0)
-                     * (G[mask].conjugate() * fj[mask]).real)
+                     * (G[mask].conjugate() * D[mask]).real)
         return out
 
     y = _phase_samples(freqs)
     total = 0.0
     for sign in (1.0, -1.0):
-        def part(G, fj, sign=sign):
-            return np.maximum(sign * signed(G, fj), 0.0)
+        def part(G, D, sign=sign):
+            return np.maximum(sign * signed(G, D), 0.0)
 
         def g(x, part=part):
             x = np.asarray(x, dtype=float)
-            return part(terms.combo(x), unit.combo(x))
+            return part(terms.combo(x), along.combo(x))
 
         hint = OscillationHint(frequencies=freqs,
-                               mean_envelope=_mean_envelope(part, (terms, unit), y))
+                               mean_envelope=_mean_envelope(part, (terms, along), y))
         res = integrate_even_singular(g, decay, singular, cfg, oscillation=hint)
         total += sign * res.value
-    return -alpha * total  # dG/da_j = -f_j
+    return alpha * total
 
 
 def _span_distance(spec: ProcessSpec, times, v0, V, x0,
@@ -373,11 +375,10 @@ def _span_distance(spec: ProcessSpec, times, v0, V, x0,
     v0 and the rows of the array V are coefficient vectors on X(times).
 
     Quasi-Newton runs with the gradient taken under the integral (alpha > 1
-    makes |.|^alpha continuously differentiable), with a simplex fallback;
-    stationarity is certified by the quadrature gradient.
+    makes |.|^alpha continuously differentiable), one derivative along each
+    row of V, with a simplex fallback; stationarity is certified by the
+    quadrature gradient.
     """
-    moved = [j for j in range(V.shape[1]) if V[:, j].any()]
-
     def coeffs(a):
         return tuple(float(c) for c in v0 + a @ V)
 
@@ -386,11 +387,7 @@ def _span_distance(spec: ProcessSpec, times, v0, V, x0,
 
     def gradient(a):
         w = coeffs(a)
-        # _grad_component differentiates along -f_j, so dF/dw_j is its negative
-        dw = np.zeros(V.shape[1])
-        for j in moved:
-            dw[j] = -_grad_component(spec, times, w, j, cfg)
-        return V @ dw
+        return np.array([_grad_component(spec, times, w, row, cfg) for row in V])
 
     if not len(x0):  # an empty span
         return objective(x0), x0

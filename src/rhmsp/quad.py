@@ -21,13 +21,14 @@ power-law bound is negligible.  Two wrappers certify its error estimate:
   Hermitian f), with error at most ``10 * max(abs_tol, rel_tol * scale)``,
   the scale being the larger of the result and the half-lines' magnitudes.
 
-Each raises `QuadratureError` when its bound fails.  Integrand callables
-must be vectorized: they receive a 1-D ``ndarray`` and return an array of
-the same shape.
+Each raises `QuadratureError` when its bound fails or when the value or
+the error is not finite.  Integrand callables must be vectorized: they
+receive a 1-D ``ndarray`` and return an array of the same shape.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -111,9 +112,11 @@ class QuadratureConfig:
 class OscillationHint:
     """Phase structure of the integrand, supplied by the caller.
 
-    frequencies: positive base frequencies present in the integrand (for an
-        alpha-norm combination these are the kernel times and their pairwise
-        differences).
+    frequencies: positive base frequencies present in the integrand.  For an
+        alpha-norm combination these are the pairwise differences of the
+        kernel times, and the kernel times themselves unless every exponent
+        is equal and each combination's constant part cancels to round-off
+        (then only the differences occur); see `norms._frequency_set`.
     mean_envelope: vectorized callable returning the local phase-average of
         the integrand; used for the extreme tail where direct phase
         evaluation is no longer trustworthy.  The engine calls it with whole
@@ -499,9 +502,11 @@ def _half_line(g, s, singular_exponent, cfg: QuadratureConfig,
         if mean_envelope is not None:
             def outer2(u):
                 u = np.atleast_1d(u)
-                x = x1 * u ** (-1.0 / s)
-                vals = np.asarray(mean_envelope(x), dtype=float)
-                return vals * (x1 / s) * u ** (-1.0 - 1.0 / s)
+                # a tiny s overflows x; the non-finite result then raises
+                with np.errstate(over="ignore", invalid="ignore"):
+                    x = x1 * u ** (-1.0 / s)
+                    vals = np.asarray(mean_envelope(x), dtype=float)
+                    return vals * (x1 / s) * u ** (-1.0 - 1.0 / s)
 
             ub2 = np.geomspace(1e-6, 1.0, 7)
             tv2, te2, n = _adaptive_panels(outer2, ub2, 0.5 * cfg.rel_tol,
@@ -561,6 +566,10 @@ def integrate_even_singular(g, decay_exponent, singular_exponent,
     value = 2.0 * half
     error = 2.0 * half_err
     tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
+    if not (math.isfinite(value) and math.isfinite(error)):
+        raise QuadratureError(
+            "quadrature gave a non-finite result: value %s, error %s"
+            % (float(value), float(error)), value=value, error=error)
     if error > 4.0 * tol:
         raise QuadratureError(
             "quadrature did not converge: achieved error %.3e > tolerance %.3e"
@@ -613,6 +622,10 @@ def oscillatory_ft(f, u, envelope_decay, cfg: QuadratureConfig,
     # the two half-lines may cancel (e.g. a transform that vanishes on part
     # of its domain), so achievable accuracy is relative to their magnitudes
     tol = max(cfg.abs_tol, cfg.rel_tol * max(abs(total), scale))
+    if not (cmath.isfinite(total) and math.isfinite(err)):
+        raise QuadratureError(
+            "oscillatory_ft gave a non-finite result: value %s, error %s"
+            % (total, float(err)), value=total, error=err)
     if err > 10.0 * max(tol, cfg.abs_tol):
         raise QuadratureError(
             "oscillatory_ft did not converge: error %.3e" % err,

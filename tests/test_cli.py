@@ -203,6 +203,7 @@ def test_localtime_snaps_t_to_grid(tmp_path, capsys):
     (["localtime", "--grid", "0:1:4", "--t", "0.6"], "error: --t must lie on the grid"),
     (["ft-check", "--h", "1.5", "--t", "-1"], "error: t must be positive"),
     (["holder", "--grid", "0:9:3"], "error: grid leaves the horizon"),
+    (["norm", "--times", "5", "--coeffs", "1"], "error: time 5 outside horizon"),
 ])
 def test_rejected_command_leaves_no_out_dir(tmp_path, capsys, argv, message):
     out = tmp_path / "results"
@@ -213,12 +214,15 @@ def test_rejected_command_leaves_no_out_dir(tmp_path, capsys, argv, message):
 
 @pytest.mark.parametrize("argv, out_name, message", [
     # frequencies 1e9 apart would need 8e9 middle panels
-    (["norm", "--times", "1,1.000000001", "--coeffs=-1,1"], "results",
+    (["norm", "--times", "1,1.000000001", "--coeffs=-1,1.5"], "results",
      "error: scale_norm quadrature failed"),
     # the tail-variance profile cannot certify its tolerance at this t
     (["simulate", "--grid", "0:0.0058113256844610659:1",
       "--set", "hurst=sine:0.55,0.1,2,0.3", "--paths", "2", "--terms", "200"],
      os.path.join("results", "p.csv"), "error: quadrature did not converge"),
+    # H = 0.001 overflows the tail substitution: the value is NaN
+    (["norm", "--times", "1", "--coeffs", "1", "--set", "hurst=const:0.001"],
+     "results", "error: scale_norm quadrature failed"),
 ])
 def test_uncertifiable_result_is_one_error_line(tmp_path, capsys, argv, out_name,
                                                 message):

@@ -47,6 +47,23 @@ def test_histogram_on_deterministic_ramp():
     assert mass == pytest.approx(1.0, abs=1e-12)
 
 
+def test_round_off_moves_no_sample_across_a_bin_edge(sampled_path):
+    # both extremes sit half a bin inside, so a change of the path at the
+    # 1e-14 level leaves every sample in its bin
+    ramp = np.linspace(0.0, 1.0, 1025)
+    cases = [(SamplePath(times=tuple(ramp), values=ramp + 0.3), 16, 1e-14, 0.0),
+             (sampled_path, 64, 0.0, 1e-14)]
+    for path, bins, shift, scale in cases:
+        base = occupation_histogram(path, 1.0, bins)
+        for k in range(-8, 9):
+            moved = SamplePath(times=path.times,
+                               values=path.values * (1.0 + k * scale) + k * shift)
+            est = occupation_histogram(moved, 1.0, bins)
+            np.testing.assert_allclose(est.values * est.bin_width,
+                                       base.values * base.bin_width,
+                                       rtol=1e-12, atol=0.0)
+
+
 def test_occupation_formula_residual(sampled_path):
     est = occupation_histogram(sampled_path, 1.0, 64)
     centre = float(np.median(sampled_path.values[:-1]))

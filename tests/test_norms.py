@@ -7,14 +7,19 @@ from rhmsp import norms
 from rhmsp.norms import (FddPoint, OptimizerConfig, exact_cf, increment_norm,
                          condition_h_constant, hausdorff_young_ratio,
                          lnd_distance, scale_norm)
-from rhmsp.quad import QuadratureConfig, QuadResult
+from rhmsp.quad import QuadratureConfig, QuadratureError, QuadResult
 
 from conftest import make_spec
+from period_sum import single_time_raw
 
 CFG = QuadratureConfig(rel_tol=1e-6)
 
 # frozen regression values (default config, alpha=1.5, const H=0.5, kernel X)
 SCALE_NORM_T1 = 3.74985397872
+# lnd_distance at (0.5, 0.75) and at (0.5, 0.625, 0.75) with grad_tol 1e-3,
+# as computed with one gradient component per unit vector f_j
+LND_DISTANCE_2 = 1.8606066185022054
+LND_DISTANCE_3 = 1.3128377657179002
 
 
 def pt(*pairs):
@@ -71,6 +76,12 @@ def test_scale_norm_kernel_invariant():
     assert vals[2] == pytest.approx(vals[0], rel=1e-5)
 
 
+def test_tiny_hurst_norm_raises_instead_of_nan():
+    # alpha H = 0.0015 overflows the tail substitution x1 u^(-1/(alpha H))
+    with pytest.raises(QuadratureError, match="non-finite"):
+        scale_norm(make_spec(hurst="const:0.001"), pt((1.0, 1.0)), CFG)
+
+
 def test_scale_norm_zero_combination(default_spec):
     assert scale_norm(default_spec, pt((1.0, 0.0)), CFG) == 0.0
 
@@ -114,6 +125,7 @@ def test_lnd_distance_two_times_is_increment(default_spec):
     assert rep.increment_norm == pytest.approx(inc, rel=1e-10)
     assert rep.ratio == pytest.approx(rep.distance / inc, rel=1e-12)
     assert 0.0 < rep.ratio <= 1.0 + 1e-9
+    assert rep.distance == pytest.approx(LND_DISTANCE_2, rel=1e-12, abs=0.0)
 
 
 def test_lnd_distance_upper_bounded_by_candidates(default_spec):
@@ -121,10 +133,85 @@ def test_lnd_distance_upper_bounded_by_candidates(default_spec):
     t1, t2, t3 = 0.5, 0.625, 0.75
     rep = lnd_distance(default_spec, (t1, t2, t3), CFG,
                        OptimizerConfig(grad_tol=1e-3))
+    assert rep.distance == pytest.approx(LND_DISTANCE_3, rel=1e-12, abs=0.0)
     for a1, a2 in ((0.0, 0.0), (0.0, 1.0), (0.3, 0.5)):
         cand = scale_norm(default_spec,
                           pt((t1, -a1), (t2, -a2), (t3, 1.0)), CFG)
         assert rep.distance <= cand * (1.0 + 1e-6)
+
+
+@pytest.mark.parametrize("hurst,direction", [
+    ("const:0.7", (1.0, -1.0, 0.0)),     # an increment direction: beats only
+    ("const:0.7", (0.0, -1.0, 0.0)),     # a row of lnd_distance's span
+    ("sine:0.5,0.1,1", (1.0, -1.0, 0.0)),
+])
+def test_directional_derivative_matches_finite_differences(hurst, direction):
+    spec = make_spec(hurst=hurst)
+    cfg = QuadratureConfig(rel_tol=1e-8)
+    times = (0.5, 0.53125, 0.5625)
+    w, d = np.array((0.3, -1.3, 1.0)), np.array(direction)
+    step = 1e-3
+
+    def diff(a):
+        return (norms._raw_norm_integral(spec, times, tuple(w + a * d), cfg)
+                - norms._raw_norm_integral(spec, times, tuple(w - a * d), cfg))
+
+    # five-point stencil: its O(step^4) error is far below the tolerance
+    want = (8.0 * diff(step) - diff(2.0 * step)) / (12.0 * step)
+    got = norms._grad_component(spec, times, tuple(w), direction, cfg)
+    assert got == pytest.approx(want, rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# frequencies: the kernel times drop out of constant-free combinations
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kernel", ["X", "Y", "F1"])
+def test_const_h_increments_carry_only_beats(kernel):
+    spec = make_spec(hurst="const:0.7", kernel=kernel)
+    times = (0.5, 0.75, 1.0)
+    inc = norms._build_terms(spec, times[1:], (-1.0, 1.0))
+    assert norms._frequency_set(inc) == (0.25,)
+    # 0.1 + 0.2 - 0.3 is 5.6e-17, not 0: round-off still counts as cancelled
+    combo = norms._build_terms(spec, times, (0.1, 0.2, -0.3))
+    along = norms._build_terms(spec, times, (1.0, -1.0, 0.0))
+    assert norms._frequency_set(combo) == (0.25, 0.5)
+    assert norms._frequency_set(combo, along) == (0.25, 0.5)
+    # a unit direction keeps its constant part, so every frequency stays
+    unit = norms._build_terms(spec, times, (0.0, 1.0, 0.0))
+    assert norms._frequency_set(combo, unit) == (0.25, 0.5, 0.75, 1.0)
+
+
+@pytest.mark.parametrize("hurst,coeffs", [
+    ("sine:0.5,0.1,1", (-1.0, 1.0)),     # distinct exponents
+    ("const:0.7", (-1.0, 1.5)),          # a constant part left over
+])
+def test_constant_part_keeps_the_kernel_times(hurst, coeffs):
+    terms = norms._build_terms(make_spec(hurst=hurst), (0.75, 1.0), coeffs)
+    assert norms._frequency_set(terms) == (0.25, 0.75, 1.0)
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-8])
+def test_const_h_increment_matches_period_sum(alpha, rel_tol):
+    # stationary increments: ||X(1 + delta) - X(1)|| = ||X(delta)||
+    cfg = QuadratureConfig(rel_tol=rel_tol, abs_tol=1e-30)
+    for hurst, deltas in ((0.7, (1e-1, 1e-3, 1e-5)), (0.3, (1e-3,))):
+        spec = make_spec(alpha=alpha, hurst="const:%g" % hurst)
+        for delta in deltas:
+            t = 1.0 + delta
+            got = norms._raw_norm_integral(spec, (1.0, t), (-1.0, 1.0), cfg)
+            want = single_time_raw(alpha, hurst, t - 1.0)
+            assert abs(got - want) <= 4.0 * rel_tol * want
+
+
+def test_near_coincident_increment_matches_period_sum():
+    # the command line's default config; this input once hit the panel cap
+    cfg = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-9)
+    t = 1.000000001
+    got = norms._raw_norm_integral(make_spec(), (1.0, t), (-1.0, 1.0), cfg)
+    want = single_time_raw(1.5, 0.5, t - 1.0)
+    assert abs(got - want) <= 4.0 * max(cfg.abs_tol, cfg.rel_tol * want)
 
 
 # ---------------------------------------------------------------------------
@@ -180,36 +267,41 @@ def _frozen(terms, x, y):
     return out
 
 
-def _direct_envelopes(spec, times, coeffs, j, x, y):
+def _direct_envelopes(spec, times, coeffs, direction, x, y):
     """Per-row phase means of the full matrix: the norm's reducer, then the
     gradient's positive and negative parts."""
     alpha = spec.alpha.alpha
     G = _frozen(norms._build_terms(spec, times, coeffs), x, y)
-    fj = _frozen(norms._build_terms(spec, (times[j],), (1.0,)), x, y)
+    D = _frozen(norms._build_terms(spec, times, direction), x, y)
     return (np.mean(np.abs(G) ** alpha, axis=1),
-            np.mean(_signed(G, fj, alpha, 1.0), axis=1),
-            np.mean(_signed(G, fj, alpha, -1.0), axis=1))
+            np.mean(_signed(G, D, alpha, 1.0), axis=1),
+            np.mean(_signed(G, D, alpha, -1.0), axis=1))
 
 
-def _engine_envelopes(monkeypatch, spec, times, coeffs, j, x):
+def _engine_envelopes(monkeypatch, spec, times, coeffs, direction, x):
     (norm_hint,) = _hints(monkeypatch, norms._raw_norm_integral,
                           spec, times, coeffs, CFG)
     grad_hints = _hints(monkeypatch, norms._grad_component,
-                        spec, times, coeffs, j, CFG)
+                        spec, times, coeffs, direction, CFG)
     hints = [norm_hint] + grad_hints
     return [h.mean_envelope(x) for h in hints], [h.frequencies for h in hints]
 
 
-@pytest.mark.parametrize("times,coeffs", [
-    ((0.5, 0.5 + 1e-2 * math.sqrt(2.0)), (-1.0, 1.0)),
-    ((0.5, 0.53125, 0.5625), (-0.3, -0.9, 1.0)),
+@pytest.mark.parametrize("times,coeffs,direction,count", [
+    # constant-free: only the two beats
+    ((0.5, 0.5078125, 0.515625), (0.3, -1.3, 1.0), (1.0, -1.0, 0.0), 2),
+    # a constant part: the beats and the three kernel times
+    ((0.5, 0.53125, 0.5625), (-0.3, -0.9, 1.0), (1.0, -1.0, 0.0), 5),
 ])
-def test_const_h_envelope_is_factored_exactly(monkeypatch, times, coeffs):
+def test_const_h_envelope_is_factored_exactly(monkeypatch, times, coeffs,
+                                              direction, count):
     spec = make_spec(hurst="const:0.7")
     x = np.geomspace(1e2, 1e8, 7)
-    got, freqs = _engine_envelopes(monkeypatch, spec, times, coeffs, 0, x)
+    got, freqs = _engine_envelopes(monkeypatch, spec, times, coeffs,
+                                   direction, x)
+    assert len(freqs[0]) == count
     for env, fr, want in zip(got, freqs, _direct_envelopes(
-            spec, times, coeffs, 0, x, norms._phase_samples(freqs[0]))):
+            spec, times, coeffs, direction, x, norms._phase_samples(freqs[0]))):
         assert fr == freqs[0]
         np.testing.assert_allclose(env, want, rtol=1e-13, atol=0.0)
         assert np.all(want > 0.0)
@@ -218,14 +310,16 @@ def test_const_h_envelope_is_factored_exactly(monkeypatch, times, coeffs):
 def test_distinct_exponent_envelope_streams_rows_exactly(monkeypatch):
     spec = make_spec(hurst="sine:0.5,0.1,1")
     times, coeffs = (0.4, 0.4 + 1e-2 * math.sqrt(2.0)), (-1.0, 1.0)
+    direction = (1.0, -1.0)
     y = norms._phase_samples(norms._frequency_set(
         norms._build_terms(spec, times, coeffs)))
     # two-row blocks, so five nodes make three blocks, the last one partial
     monkeypatch.setattr(norms, "_ENVELOPE_BLOCK", 2 * y.size)
     x = np.geomspace(1e2, 1e8, 5)
-    got, freqs = _engine_envelopes(monkeypatch, spec, times, coeffs, 0, x)
+    got, freqs = _engine_envelopes(monkeypatch, spec, times, coeffs,
+                                   direction, x)
     for env, fr, want in zip(got, freqs, _direct_envelopes(
-            spec, times, coeffs, 0, x, y)):
+            spec, times, coeffs, direction, x, y)):
         assert np.array_equal(norms._phase_samples(fr), y)
         assert np.array_equal(env, want)
 

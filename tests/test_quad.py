@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from scipy import integrate
 
+from rhmsp import quad
 from rhmsp.analysis import _ft_closed_form, _ft_integrand
 from rhmsp.quad import (OscillationHint, QuadratureConfig, QuadratureError,
                         QuadResult, integrate_even_singular, oscillatory_ft)
@@ -169,6 +170,18 @@ def test_far_apart_frequencies_raise_before_panels_are_built():
         oscillatory_ft(_ft_integrand(1.5, 1.0), 1e-9, envelope_decay=1.5, cfg=cfg,
                        inner_frequencies=(-1.0,), singular_exponent=0.5,
                        hermitian=True)
+
+
+@pytest.mark.parametrize("value,error", [(math.nan, 0.0), (1.0, math.nan),
+                                         (math.inf, 0.0), (1.0, math.inf)])
+def test_non_finite_half_line_raises(monkeypatch, value, error):
+    # NaN compares false with every bound, so only an explicit test stops it
+    monkeypatch.setattr(quad, "_half_line", lambda *args: (value, error, 15))
+    cfg = QuadratureConfig()
+    with pytest.raises(QuadratureError, match="non-finite"):
+        integrate_even_singular(lambda x: np.exp(-x * x), 2.0, 0.0, cfg)
+    with pytest.raises(QuadratureError, match="non-finite"):
+        oscillatory_ft(lambda x: np.exp(-x * x), 1.0, 2.0, cfg)
 
 
 def test_ft_requires_integrable_decay():

@@ -11,7 +11,7 @@ minimization over the span of past values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
@@ -100,7 +100,12 @@ class OptimizerError(RuntimeError):
 
 @dataclass(frozen=True)
 class _Terms:
-    """Sum_k lam_k x^{-p_k} (c1_k e^{i nu_k x} + c0_k) for x > 0."""
+    """Sum_k lam_k x^{-p_k} (c1_k e^{i nu_k x} + c0_k) for x > 0.
+
+    ``lam`` is one coefficient vector, or a stack of rows (rows, terms) of
+    combinations on the same times; the evaluations then gain a leading row
+    axis, and each term's x^{-p_k} and e^{i nu_k x} are computed once for
+    every row."""
 
     lam: np.ndarray       # real coefficients
     p: np.ndarray         # envelope exponents H(t_k) + 1/alpha
@@ -111,20 +116,20 @@ class _Terms:
 
     def combo(self, x):
         x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape, dtype=complex)
-        for k in range(self.lam.size):
-            out += (self.lam[k] * x ** (-self.p[k])
+        out = np.zeros(self.lam.shape[:-1] + x.shape, dtype=complex)
+        for k in range(self.p.size):
+            out += (self.lam[..., k, None] * x ** (-self.p[k])
                     * (self.c1[k] * np.exp(1j * self.nu[k] * x) + self.c0[k]))
         return out
 
     def phase_factors(self, y):
         """c1_k e^{i nu_k y} + c0_k at the phase samples y, one row per term."""
         return np.array([self.c1[k] * np.exp(1j * self.nu[k] * y) + self.c0[k]
-                         for k in range(self.lam.size)])
+                         for k in range(self.p.size)])
 
     def combo_frozen(self, x, osc):
         """Envelope frozen at x (column), phases taken along the rows of
-        ``osc = phase_factors(y)``."""
+        ``osc = phase_factors(y)``; for one coefficient vector."""
         out = np.zeros((x.size, osc.shape[1]), dtype=complex)
         for k in range(self.lam.size):
             out += self.lam[k] * x[:, None] ** (-self.p[k]) * osc[k][None, :]
@@ -132,12 +137,16 @@ class _Terms:
 
 
 def _build_terms(spec: ProcessSpec, times, coeffs) -> Optional[_Terms]:
+    """The terms of Sum_k coeffs_k f(t_k) on the positive half-line, or of
+    each row of a coefficient stack (rows, times).  A time whose
+    coefficients are all zero, or t = 0, has no term; None if none is left."""
     alpha = spec.alpha.alpha
+    coeffs = np.asarray(coeffs, dtype=float)
     lam, p, nu, c1, c0 = [], [], [], [], []
-    for t, c in zip(times, coeffs):
+    for k, t in enumerate(times):
         t = float(t)
-        c = float(c)
-        if c == 0.0 or t == 0.0:  # f(0, .) = 0 for every variant
+        c = coeffs[..., k]
+        if not np.any(c) or t == 0.0:  # f(0, .) = 0 for every variant
             continue
         if not 0.0 <= t <= spec.horizon:
             raise ValueError("time %g outside horizon [0, %g]" % (t, spec.horizon))
@@ -157,7 +166,7 @@ def _build_terms(spec: ProcessSpec, times, coeffs) -> Optional[_Terms]:
         c0.append(ck0)
     if not lam:
         return None
-    return _Terms(lam=np.asarray(lam), p=np.asarray(p), nu=np.asarray(nu),
+    return _Terms(lam=np.stack(lam, axis=-1), p=np.asarray(p), nu=np.asarray(nu),
                   c1=np.asarray(c1, dtype=complex),
                   c0=np.asarray(c0, dtype=complex), alpha=alpha)
 
@@ -179,7 +188,8 @@ def _frequency_set(*combos: _Terms) -> Tuple[float, ...]:
     p = np.concatenate([c.p for c in combos])
     parts = [c.lam * c.c0 for c in combos]
     constant_free = np.all(p == p[0]) and all(
-        abs(q.sum()) <= 8.0 * np.finfo(float).eps * np.abs(q).sum() for q in parts)
+        np.all(np.abs(q.sum(axis=-1)) <= 8.0 * np.finfo(float).eps * np.abs(q).sum(axis=-1))
+        for q in parts)
     if not constant_free:
         vals.update(abs(v) for v in nu)
     return tuple(sorted(v for v in vals if v > 1e-15))
@@ -236,40 +246,53 @@ def _mean_envelope(reduce, combos, y):
     x^{-alpha p}.  Otherwise the nodes are streamed in blocks of about
     ``_ENVELOPE_BLOCK`` elements (one node at least), so memory never grows
     as nodes x samples; the phase factors are computed once either way.
+    Combinations that are stacks of rows give a (rows, nodes) envelope,
+    taken one row at a time, so that a block never holds more than one row.
     """
     alpha = combos[0].alpha
     p = np.concatenate([c.p for c in combos])
+    lead = combos[0].lam.shape[:-1]
     osc = [c.phase_factors(y) for c in combos]
+    rows = ([[replace(c, lam=c.lam[i]) for c in combos] for i in range(lead[0])]
+            if lead else [combos])
 
-    def rows(x):
-        return np.mean(reduce(*[c.combo_frozen(x, o) for c, o in zip(combos, osc)]),
-                       axis=1)
+    def means(x):
+        out = [np.mean(reduce(*[c.combo_frozen(x, o) for c, o in zip(row, osc)]),
+                       axis=-1) for row in rows]
+        return np.stack(out) if lead else out[0]
 
     if np.all(p == p[0]):
-        scale = float(rows(np.ones(1))[0])
+        scale = means(np.ones(1))[..., 0]
         power = -alpha * float(p[0])
 
         def mean_env(x):
-            return scale * np.atleast_1d(np.asarray(x, dtype=float)) ** power
+            return np.multiply.outer(
+                scale, np.atleast_1d(np.asarray(x, dtype=float)) ** power)
         return mean_env
 
     block = max(1, _ENVELOPE_BLOCK // y.size)
 
     def mean_env(x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty(x.size)
+        out = np.empty(lead + (x.size,))
         for i in range(0, x.size, block):
-            out[i:i + block] = rows(x[i:i + block])
+            out[..., i:i + block] = means(x[i:i + block])
         return out
     return mean_env
 
 
 def _raw_norm_integral(spec: ProcessSpec, times, coeffs,
-                       cfg: QuadratureConfig) -> float:
-    """int_R |Sum lambda_k f(t_k, x)|^alpha dx (the scale norm to the alpha)."""
+                       cfg: QuadratureConfig):
+    """int_R |Sum lambda_k f(t_k, x)|^alpha dx (the scale norm to the alpha).
+
+    ``coeffs`` is one coefficient vector, or a stack of rows (rows, times)
+    of vectors on the same times; then the rows share one quadrature pass,
+    which evaluates each f(t_k, x) once per node for every row, each row is
+    certified on its own, and the result is an array with one value per
+    row.  One vector gives a float."""
     terms = _build_terms(spec, times, coeffs)
     if terms is None:
-        return 0.0
+        return np.zeros(np.shape(coeffs)[:-1]) if np.ndim(coeffs) > 1 else 0.0
     alpha = terms.alpha
     freqs = _frequency_set(terms)
     decay = alpha * float(np.min(terms.p)) - 1.0          # = alpha * min H(t_k)
@@ -282,11 +305,14 @@ def _raw_norm_integral(spec: ProcessSpec, times, coeffs,
                               _phase_samples(freqs))
     hint = OscillationHint(frequencies=freqs, mean_envelope=mean_env)
     try:
-        res = integrate_even_singular(g, decay, singular, cfg, oscillation=hint)
+        # near H = 1 the head reaches x where x^{-p} overflows; the
+        # non-finite value then raises, so a warning would only repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = integrate_even_singular(g, decay, singular, cfg, oscillation=hint)
     except QuadratureError as exc:
         raise QuadratureError(
             "scale_norm quadrature failed for times=%s coeffs=%s: %s"
-            % (tuple(times), tuple(coeffs), exc),
+            % (tuple(times), tuple(np.asarray(coeffs).tolist()), exc),
             value=exc.value, error=exc.error) from exc
     return res.value
 

@@ -23,7 +23,14 @@ power-law bound is negligible.  Two wrappers certify its error estimate:
 
 Each raises `QuadratureError` when its bound fails or when the value or
 the error is not finite.  Integrand callables must be vectorized: they
-receive a 1-D ``ndarray`` and return an array of the same shape.
+receive a 1-D ``ndarray`` of n nodes and return either an array of the same
+shape, ``(n,)``, or a stack of rows, ``(rows, n)``: several integrands that
+share every node, such as the norms of many coefficient vectors on one time
+set.  A stack gets one adaptive mesh, the union of what its rows need, and
+one value and one error per row.  Each row is certified on its own (its own
+tolerance, stopping test and final bound), and the call raises if any row
+fails.  An integrand returning ``(n,)`` runs exactly the arithmetic it would
+run alone.
 """
 
 from __future__ import annotations
@@ -94,6 +101,10 @@ _SPLIT = 1.0
 _MAX_DEPTH = 40
 # panels one adaptive call may hold; the middle region must start below it
 _MAX_PANELS = 400_000
+# nodes per integrand call in `_gk_apply` (a stack of rows holds rows x this
+# many samples): larger chunks run no faster and only raise the peak
+# resident set
+_GK_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -118,7 +129,8 @@ class OscillationHint:
         is equal and each combination's constant part cancels to round-off
         (then only the differences occur); see `norms._frequency_set`.
     mean_envelope: vectorized callable returning the local phase-average of
-        the integrand; used for the extreme tail where direct phase
+        the integrand, in the integrand's shape (``(rows, n)`` for a stack
+        of rows); used for the extreme tail where direct phase
         evaluation is no longer trustworthy.  The engine calls it with whole
         arrays of tail nodes, so its cost must not grow as nodes x phase
         samples: factor out a common envelope, or stream the nodes in
@@ -137,7 +149,11 @@ class OscillationHint:
 
 @dataclass
 class QuadResult:
-    """Integral value with a certified error estimate."""
+    """Integral value with a certified error estimate.
+
+    For a stack of rows, value and error are arrays with one entry per row.
+    evaluations counts integrand nodes; each node evaluates every row.
+    """
 
     value: float
     error: float
@@ -147,22 +163,36 @@ class QuadResult:
         return float(self.value)
 
 
-def _gk_apply(f, lo, hi):
-    """Apply G7/K15 to an array of panels.  Returns (I15, err, neval)."""
+def _gk_apply(f, lo, hi, absolute=False):
+    """Apply G7/K15 to an array of panels.  Returns (I15, err, nodes, L1):
+    one entry per panel, behind a leading row axis when f returns a stack of
+    rows; L1 is the K15 integral of |f| per panel, taken from the same
+    samples when ``absolute`` is set and None otherwise.  The panels are
+    evaluated in chunks of at most ``_GK_BLOCK`` nodes."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    x = mid[:, None] + half[:, None] * _XK[None, :]
-    y = np.asarray(f(x.ravel())).reshape(x.shape)
-    i15 = (y * _WK).sum(axis=1) * half
-    i7 = (y[:, _GAUSS_IDX] * _WG).sum(axis=1) * half
+    step = max(1, _GK_BLOCK // _XK.size)
+    i15, i7, l1 = [], [], []
+    for i in range(0, lo.size, step):
+        h = half[i:i + step]
+        x = mid[i:i + step, None] + h[:, None] * _XK[None, :]
+        y = np.asarray(f(x.ravel()))
+        y = y.reshape(y.shape[:-1] + x.shape)
+        i15.append((y * _WK).sum(axis=-1) * h)
+        i7.append((y[..., _GAUSS_IDX] * _WG).sum(axis=-1) * h)
+        if absolute:
+            l1.append((np.abs(y) * _WK).sum(axis=-1) * h)
+    i15 = np.concatenate(i15, axis=-1)
+    i7 = np.concatenate(i7, axis=-1)
     err = np.abs(i15 - i7)
     # sharpen the raw difference the usual QUADPACK way
     scale = np.abs(i15) + 1e-300
     ratio = np.minimum(1.0, (200.0 * err / scale) ** 1.5)
     err = np.where(err > 0, np.minimum(err, err * ratio + 1e-16 * scale), err)
-    return i15, err, y.size
+    l1 = np.concatenate(l1, axis=-1) if absolute else None
+    return i15, err, _XK.size * lo.size, l1
 
 
 def _adaptive_panels(f, bounds, rel_tol, abs_tol, max_depth,
@@ -170,60 +200,75 @@ def _adaptive_panels(f, bounds, rel_tol, abs_tol, max_depth,
     """Adaptively refine a panel list until the summed GK error estimate is
     below max(abs_tol, rel_tol * |total|).  `external_value` joins the
     relative-tolerance scale so that sub-regions of a larger integral do not
-    over-refine."""
+    over-refine.  ``abs_tol=None`` stands for rel_tol times the first pass's
+    integral of |f|, for an integrand whose value may cancel far below its
+    magnitude.
+
+    A stack of rows shares the panels.  Each row keeps its own total,
+    tolerance and stall count; a panel is frozen once it is negligible for
+    every row still refining, and refinement ends when every row has
+    converged, stalled or turned non-finite (NaN fails every comparison, so
+    it must stop explicitly; the value then reaches the caller's check)."""
     lo = np.asarray(bounds[:-1], dtype=float)
     hi = np.asarray(bounds[1:], dtype=float)
     keep = hi > lo
     lo, hi = lo[keep], hi[keep]
     if lo.size == 0:
         return 0.0, 0.0, 0
-    acc_val = 0.0
-    acc_err = 0.0
-    nev = 0
-    i15, err, n = _gk_apply(f, lo, hi)
-    nev += n
+    i15, err, nev, l1 = _gk_apply(f, lo, hi, absolute=abs_tol is None)
+    if abs_tol is None:
+        abs_tol = rel_tol * l1.sum(axis=-1) + 1e-300
+    flat = i15.ndim == 1
+    i15, err = i15.reshape(-1, lo.size), err.reshape(-1, lo.size)
+    acc_val = np.zeros(i15.shape[0], dtype=i15.dtype)
+    acc_err = np.zeros(i15.shape[0])
     prev_err = math.inf
     stall = 0
     for depth in range(max_depth):
-        total = acc_val + i15.sum() + external_value
-        tol = max(abs_tol, rel_tol * abs(total))
-        err_sum = acc_err + err.sum()
-        if err_sum <= tol or lo.size == 0:
+        total = acc_val + i15.sum(axis=-1) + external_value
+        tol = np.maximum(abs_tol, rel_tol * np.abs(total))
+        err_sum = acc_err + err.sum(axis=-1)
+        converged = err_sum <= tol
+        if converged.all() or lo.size == 0:
             break
         # bisection that no longer reduces the estimate means the integrand
         # noise floor (or estimator saturation) has been reached
-        if err_sum > 0.9 * prev_err:
-            stall += 1
-            if stall >= 2:
-                break
-        else:
-            stall = 0
+        stall = (stall + 1) * (err_sum > 0.9 * prev_err)
+        refining = ~converged & (stall < 2) & np.isfinite(total) & np.isfinite(err_sum)
+        if not refining.any():
+            break
         prev_err = err_sum
-        # freeze panels that are individually negligible
-        budget = 0.25 * tol / max(len(lo), 1)
-        done = err <= budget
+        # freeze panels that are individually negligible for every row
+        # still refining
+        budget = np.where(refining, 0.25 * tol / len(lo), np.inf)
+        done = (err <= budget[:, None]).all(axis=0)
         if done.any():
-            acc_val += i15[done].sum()
-            acc_err += err[done].sum()
-            lo, hi, i15, err = lo[~done], hi[~done], i15[~done], err[~done]
+            acc_val += i15[:, done].sum(axis=-1)
+            acc_err += err[:, done].sum(axis=-1)
+            lo, hi, i15, err = lo[~done], hi[~done], i15[:, ~done], err[:, ~done]
         if lo.size == 0:
             continue
         if 2 * lo.size > max_panels:
-            # refine only the worst offenders to bound memory
-            order = np.argsort(err)[::-1][: max_panels // 4]
+            # refine only the worst offenders to bound memory, ranked by
+            # error over tolerance so that every row weighs alike
+            score = np.max(np.where(refining[:, None], err / tol[:, None], 0.0),
+                           axis=0)
+            order = np.argsort(score)[::-1][: max_panels // 4]
             mask = np.zeros(lo.size, dtype=bool)
             mask[order] = True
-            acc_val += i15[~mask].sum()
-            acc_err += err[~mask].sum()
+            acc_val += i15[:, ~mask].sum(axis=-1)
+            acc_err += err[:, ~mask].sum(axis=-1)
             lo, hi = lo[mask], hi[mask]
         mid = 0.5 * (lo + hi)
         lo = np.concatenate([lo, mid])
         hi = np.concatenate([mid, hi])
-        i15, err, n = _gk_apply(f, lo, hi)
+        i15, err, n, _ = _gk_apply(f, lo, hi)
+        i15, err = i15.reshape(-1, lo.size), err.reshape(-1, lo.size)
         nev += n
-    acc_val += i15.sum() if lo.size else 0.0
-    acc_err += err.sum() if lo.size else 0.0
-    return acc_val, acc_err, nev
+    if lo.size:
+        acc_val += i15.sum(axis=-1)
+        acc_err += err.sum(axis=-1)
+    return (acc_val[0], acc_err[0], nev) if flat else (acc_val, acc_err, nev)
 
 
 def _aligned_panel_bounds(a, b, width):
@@ -261,20 +306,25 @@ def _geometric_bounds(a, b, ratio=2.0):
 # ---------------------------------------------------------------------------
 
 def _guarded(g):
-    """Wrap g with a nonnegativity contract check."""
+    """Wrap g with a nonnegativity contract check on every row."""
     def gg(x):
         y = np.asarray(g(x), dtype=float)
-        bad = y < -1e-12 * (np.max(np.abs(y)) + 1e-300)
+        if not y.min() < 0.0:
+            return y
+        bad = y < -1e-12 * (np.max(np.abs(y), axis=-1, keepdims=True) + 1e-300)
         if bad.any():
+            at = np.any(bad.reshape(-1, y.shape[-1]), axis=0)
             raise ContractViolationError(
-                "integrand returned a negative sample at x=%r" % (x[bad][:3],))
+                "integrand returned a negative sample at x=%r" % (x[at][:3],))
         return y
     return gg
 
 
 def _singular_head(g, a1, sing_exp, rel_tol, abs_tol, ext):
     """Integral of g over (0, a1) via the substitution x = a1 * exp(-v); the
-    stopping tolerance is relative to the running total ``ext + value``."""
+    stopping tolerance is relative to the running total ``ext + value``, and
+    every row of a stack must meet it.  A block whose value or error is not
+    finite ends the walk."""
     def trans(v):
         x = a1 * np.exp(-v)
         return g(x) * x
@@ -296,10 +346,12 @@ def _singular_head(g, a1, sing_exp, rel_tol, abs_tol, ext):
         val += bv
         err += be
         nev += n
-        tol = max(abs_tol, rel_tol * abs(ext + val))
+        if not (np.isfinite(bv).all() and np.isfinite(be).all()):
+            break
+        tol = np.maximum(abs_tol, rel_tol * np.abs(ext + val))
         # geometric remainder bound for the decaying transformed integrand
-        rem = abs(bv) * math.exp(-rate * block) / max(1.0 - math.exp(-rate * block), 1e-6)
-        if rem <= 0.125 * tol and abs(bv) <= 0.125 * tol:
+        rem = np.abs(bv) * math.exp(-rate * block) / max(1.0 - math.exp(-rate * block), 1e-6)
+        if np.all((rem <= 0.125 * tol) & (np.abs(bv) <= 0.125 * tol)):
             err += rem
             break
         v0 = v1
@@ -328,7 +380,8 @@ def _windowed_mean(g, x, x_lo, sigma, halfwidth, panel_width, rel_tol=1e-10):
 
     The mean itself may be almost fully suppressed (sign-changing parts of an
     oscillatory integrand), so the stopping tolerance is anchored to the mean
-    of |g| over the window rather than to the mean of g."""
+    of |g| over the window rather than to the mean of g; the first pass's
+    samples give both."""
     kern = _window_kernel(sigma, halfwidth)
     a = max(x - halfwidth, x_lo)
     b = x + halfwidth
@@ -339,12 +392,9 @@ def _windowed_mean(g, x, x_lo, sigma, halfwidth, panel_width, rel_tol=1e-10):
     def integrand(y):
         return g(y) * kern(y - x)
 
-    env, _e, n_env = _gk_apply(lambda y: np.abs(integrand(y)),
-                               bounds[:-1], bounds[1:])
-    floor = rel_tol * float(env.sum()) + 1e-300
-    val, _err, n = _adaptive_panels(integrand, bounds, rel_tol, floor, 18,
+    val, _err, n = _adaptive_panels(integrand, bounds, rel_tol, None, 18,
                                     max_panels=200_000)
-    return val, n + n_env
+    return val, n
 
 
 def _windowed_tail(part, cutoff, sigma, halfwidth, panel_width, s, x1,
@@ -392,7 +442,7 @@ def _windowed_tail(part, cutoff, sigma, halfwidth, panel_width, s, x1,
             out.append(m * (x2 / s) * ui ** (-1.0 - 1.0 / s))
             cnt += n_
         outer.nev += cnt
-        return np.asarray(out)
+        return np.stack(out, axis=-1)
     outer.nev = 0
 
     # the outer integrand inherits absolute noise ~ inner_rel_tol * envelope
@@ -410,7 +460,7 @@ def _windowed_tail(part, cutoff, sigma, halfwidth, panel_width, s, x1,
     n_outer = 9 if rel_tol < 5e-8 else (5 if rel_tol < 5e-6 else 3)
     ub = np.geomspace(u1, 1.0, n_outer)
     out_val, out_err, _ = _adaptive_panels(outer, ub, rel_tol,
-                                           max(abs_tol, noise),
+                                           np.maximum(abs_tol, noise),
                                            14, external_value=external_value,
                                            max_panels=4000)
     nev += outer.nev
@@ -422,9 +472,9 @@ _BRACKET = np.array([1.0, 1.3, 1.7, 2.3, 3.1])
 
 
 def _envelope_constant(g, r, s):
-    """1.5 * max |g(x)| x^{1+s} over the bracket at r."""
+    """1.5 * max |g(x)| x^{1+s} over the bracket at r, per row."""
     xs = r * _BRACKET
-    return float(np.max(np.abs(g(xs)) * xs ** (1.0 + s))) * 1.5
+    return np.max(np.abs(g(xs)) * xs ** (1.0 + s), axis=-1) * 1.5
 
 
 def _half_line(g, s, singular_exponent, cfg: QuadratureConfig,
@@ -432,7 +482,8 @@ def _half_line(g, s, singular_exponent, cfg: QuadratureConfig,
     """``int_0^inf g(x) dx`` as (value, error, evaluations) for real or
     complex g with ``|g(x)| = O(x**-singular_exponent)`` as x -> 0+ and
     ``O(x**-(s + 1))`` as x -> inf.  ``freqs`` are the frequencies of g's
-    components, below 1e-14 for one that does not oscillate."""
+    components, below 1e-14 for one that does not oscillate.  For a stack of
+    rows, value and error hold one entry per row."""
     w_osc = sorted({float(w) for w in freqs if w > 1e-14})
     steady = any(w <= 1e-14 for w in freqs)
     nev = 0
@@ -529,8 +580,8 @@ def _half_line(g, s, singular_exponent, cfg: QuadratureConfig,
         for _ in range(60):
             bound = _envelope_constant(g, r, s) * r ** (-s) / s
             nev += _BRACKET.size
-            tol = max(cfg.abs_tol, cfg.rel_tol * abs(running))
-            if bound <= 0.25 * tol or r > 1e12:
+            tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(running))
+            if np.all(bound <= 0.25 * tol) or r > 1e12:
                 tail_err += bound
                 break
             ev, ee, n = _adaptive_panels(g, _geometric_bounds(r, 4.0 * r),
@@ -552,7 +603,9 @@ def integrate_even_singular(g, decay_exponent, singular_exponent,
 
     g must satisfy ``g(x) = O(x**-singular_exponent)`` as x -> 0+ and
     ``g(x) = O(x**-(decay_exponent + 1))`` as x -> inf.  The caller derives
-    both exponents from the norm estimates of the kernel combination.
+    both exponents from the norm estimates of the kernel combination.  For a
+    stack of rows the exponents hold for every row, the value and error are
+    one per row, and the call raises if any row misses its bound.
     """
     s = float(decay_exponent)
     if not s > 0:
@@ -565,15 +618,19 @@ def integrate_even_singular(g, decay_exponent, singular_exponent,
                                      freqs, env)
     value = 2.0 * half
     error = 2.0 * half_err
-    tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
-    if not (math.isfinite(value) and math.isfinite(error)):
+    tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(value))
+    if not (np.isfinite(value).all() and np.isfinite(error).all()):
         raise QuadratureError(
             "quadrature gave a non-finite result: value %s, error %s"
-            % (float(value), float(error)), value=value, error=error)
-    if error > 4.0 * tol:
+            % (value, error), value=value, error=error)
+    over = np.ravel(error > 4.0 * tol)
+    if over.any():
+        k = int(np.argmax(over))
         raise QuadratureError(
-            "quadrature did not converge: achieved error %.3e > tolerance %.3e"
-            % (error, tol), value=value, error=error)
+            "quadrature did not converge: achieved error %.3e > tolerance %.3e%s"
+            % (np.ravel(error)[k], np.ravel(tol)[k],
+               " in row %d" % k if np.ndim(value) else ""),
+            value=value, error=error)
     return QuadResult(value=value, error=error, evaluations=nev)
 
 

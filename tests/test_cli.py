@@ -223,6 +223,9 @@ def test_rejected_command_leaves_no_out_dir(tmp_path, capsys, argv, message):
     # H = 0.001 overflows the tail substitution: the value is NaN
     (["norm", "--times", "1", "--coeffs", "1", "--set", "hurst=const:0.001"],
      "results", "error: scale_norm quadrature failed"),
+    # H = 0.999 walks the singular head down to where x^{-p} overflows
+    (["norm", "--times", "0.5,1", "--coeffs", "1,-1", "--set", "hurst=const:0.999"],
+     "results", "error: scale_norm quadrature failed"),
 ])
 def test_uncertifiable_result_is_one_error_line(tmp_path, capsys, argv, out_name,
                                                 message):

@@ -107,3 +107,15 @@ def test_m2_budget_error(default_spec):
         local_time_second_moment(default_spec, 0.5, 0.02, 0.0,
                                  max_norm_calls=10)
     assert err.value.partial >= 0.0
+
+
+def test_m2_budget_counts_sections(default_spec, monkeypatch):
+    # two gap nodes, each two scalar sections and one stack of 20 phi rows
+    def unit_sections(spec, times, coeffs, cfg):
+        return np.ones(len(coeffs)) if np.ndim(coeffs) > 1 else 1.0
+
+    monkeypatch.setattr(localtime, "_raw_norm_integral", unit_sections)
+    assert local_time_second_moment(default_spec, 0.5, 0.02, 0.0,
+                                    max_norm_calls=44) > 0.0
+    with pytest.raises(LocalTimeBudgetError):
+        local_time_second_moment(default_spec, 0.5, 0.02, 0.0, max_norm_calls=43)

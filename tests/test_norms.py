@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rhmsp import norms
+from rhmsp import localtime, norms
 from rhmsp.norms import (FddPoint, OptimizerConfig, exact_cf, increment_norm,
                          condition_h_constant, hausdorff_young_ratio,
                          lnd_distance, scale_norm)
@@ -336,3 +336,60 @@ def test_const_h_norm_freezes_the_combination_once(monkeypatch):
     value = norms._raw_norm_integral(make_spec(), (0.5, 0.51), (-1.0, 1.0), CFG)
     assert value > 0.0
     assert calls == [1]
+
+
+# ---------------------------------------------------------------------------
+# stacks of coefficient rows on one time set
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("coeffs", [(0.4, -1.1), (0.0, 1.0)])
+def test_one_row_stack_is_the_scalar_call(coeffs):
+    spec = make_spec(hurst="sine:0.5,0.1,1", kernel="Y")
+    times, cfg = (0.5, 0.53), QuadratureConfig(rel_tol=1e-8)
+    got = norms._raw_norm_integral(spec, times, [coeffs], cfg)
+    assert got.shape == (1,)
+    assert got[0] == norms._raw_norm_integral(spec, times, coeffs, cfg)
+
+
+@pytest.mark.parametrize("hurst", ["const:0.6", "sine:0.5,0.1,1"])
+def test_stacked_envelope_is_each_rows_envelope(monkeypatch, hurst):
+    spec = make_spec(hurst=hurst)
+    times, rows = (0.5, 0.52, 0.6), [(0.3, -1.0, 0.5), (-1.0, 1.0, 0.0), (0.0, 2.0, -0.7)]
+    x = np.geomspace(1e2, 1e8, 5)
+    (stacked,) = _hints(monkeypatch, norms._raw_norm_integral, spec, times, rows, CFG)
+    y = norms._phase_samples(stacked.frequencies)
+    terms = norms._build_terms(spec, times, rows)
+    for row, env in zip(terms.lam, stacked.mean_envelope(x)):
+        one = norms._Terms(lam=row, p=terms.p, nu=terms.nu, c1=terms.c1, c0=terms.c0,
+                           alpha=terms.alpha)
+        want = norms._mean_envelope(lambda G: np.abs(G) ** terms.alpha, (one,), y)
+        assert np.array_equal(env, want(x))
+
+
+@pytest.mark.parametrize("kernel,hurst", [("X", "const:0.5"), ("Y", "sine:0.5,0.1,1"),
+                                          ("F1", "const:0.7"), ("F1", "sine:0.5,0.1,1")])
+def test_m2_phi_rows_match_scalar_sections(kernel, hurst):
+    # the 20 phi sections of one m2 gap node, one stacked call against one
+    # scalar call each; the rows share a mesh, so each may land anywhere
+    # inside its own certified tolerance
+    spec = make_spec(hurst=hurst, kernel=kernel)
+    cfg = QuadratureConfig(rel_tol=1e-4, abs_tol=1e-10)
+    times = (0.5, 0.52)
+    rows = localtime._phi_coeffs(localtime._phi_rule(0.2)[0])
+    got = norms._raw_norm_integral(spec, times, rows, cfg)
+    want = [norms._raw_norm_integral(spec, times, c, cfg) for c in rows]
+    assert len(rows) == got.size == 20
+    np.testing.assert_allclose(got, want, rtol=2.0 * cfg.rel_tol, atol=0.0)
+
+
+def test_one_uncertified_row_fails_the_stack(monkeypatch):
+    from rhmsp import quad
+
+    def half_line(g, *args):
+        y = g(np.array([1.0]))
+        return np.ones(y.shape[0]), np.where(np.arange(y.shape[0]) == 2, 1.0, 0.0), 15
+
+    monkeypatch.setattr(quad, "_half_line", half_line)
+    with pytest.raises(QuadratureError, match="scale_norm quadrature failed.*in row 2"):
+        norms._raw_norm_integral(make_spec(), (0.5, 0.6), [(1.0, 0.0), (-1.0, 1.0),
+                                                          (0.5, 0.5), (0.0, 1.0)], CFG)

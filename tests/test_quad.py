@@ -42,6 +42,96 @@ def test_singular_exponential_integral():
     assert float(res) == pytest.approx(2.0 * math.sqrt(math.pi), rel=1e-9)
 
 
+def test_stacked_rows_are_each_certified():
+    # int_R (1 - cos(t x)) |x|^{-2} dx = pi t for three t on one mesh
+    cfg = QuadratureConfig(rel_tol=1e-9)
+    ts = np.array([0.5, 1.0, 4.0])
+    hint = OscillationHint(
+        frequencies=tuple(ts),
+        mean_envelope=lambda x: np.multiply.outer(np.ones(ts.size), np.abs(x) ** -2.0))
+    res = integrate_even_singular(
+        lambda x: (1.0 - np.cos(np.multiply.outer(ts, x))) * np.abs(x) ** -2.0,
+        1.0, 0.0, cfg, oscillation=hint)
+    assert res.value.shape == res.error.shape == (3,)
+    np.testing.assert_allclose(res.value, math.pi * ts, rtol=1e-7)
+    assert np.all(res.error <= 4.0 * cfg.rel_tol * res.value)
+
+
+def test_one_row_stack_runs_the_scalar_arithmetic():
+    cfg = QuadratureConfig(rel_tol=1e-9)
+    hint = OscillationHint(frequencies=(1.0,), mean_envelope=lambda x: np.abs(x) ** -2.0)
+    stack = OscillationHint(frequencies=(1.0,),
+                            mean_envelope=lambda x: (np.abs(x) ** -2.0)[None, :])
+
+    def g(x):
+        return (1.0 - np.cos(x)) * np.abs(x) ** -2.0
+
+    one = integrate_even_singular(g, 1.0, 0.0, cfg, oscillation=hint)
+    rows = integrate_even_singular(lambda x: g(x)[None, :], 1.0, 0.0, cfg,
+                                   oscillation=stack)
+    assert rows.value.shape == (1,)
+    assert (rows.value[0], rows.error[0], rows.evaluations) == (
+        one.value, one.error, one.evaluations)
+
+
+def test_one_uncertified_row_fails_the_call(monkeypatch):
+    monkeypatch.setattr(quad, "_half_line", lambda *args: (
+        np.array([1.0, 1.0, 1.0]), np.array([0.0, 1.0, 0.0]), 15))
+    with pytest.raises(QuadratureError, match="in row 1"):
+        integrate_even_singular(lambda x: np.exp(-x * x), 2.0, 0.0,
+                                QuadratureConfig())
+
+
+def test_chunked_panels_equal_one_pass(monkeypatch):
+    edges = np.geomspace(1e-3, 40.0, 61)
+
+    def rows(x):
+        return np.stack([np.abs(np.sin(x)) ** 1.5, np.exp(-x), x ** -0.3])
+
+    for f in (rows, lambda x: rows(x)[0]):
+        whole = quad._gk_apply(f, edges[:-1], edges[1:], absolute=True)
+        monkeypatch.setattr(quad, "_GK_BLOCK", 3 * 15 + 7)   # 3 panels a chunk
+        parts = quad._gk_apply(f, edges[:-1], edges[1:], absolute=True)
+        monkeypatch.undo()
+        assert whole[2] == parts[2] == 15 * 60
+        for a, b in zip(whole[:2] + whole[3:], parts[:2] + parts[3:]):
+            assert np.array_equal(a, b)
+
+
+def test_windowed_mean_evaluates_each_node_once():
+    # the |g| floor and the first adaptive pass share their samples
+    seen = []
+
+    def g(x):
+        seen.append(np.array(x))
+        return np.abs(np.cos(3.0 * x)) ** 1.5 * x ** -1.7
+
+    sigma = quad._window_sigma(1e-8) / 3.0
+    val, n = quad._windowed_mean(g, 60.0, 40.0, sigma, 6.5 * sigma,
+                                 math.pi / 3.0, rel_tol=1e-10)
+    nodes = np.concatenate(seen)
+    assert val > 0.0 and n == nodes.size
+    assert np.unique(nodes).size == nodes.size
+
+
+def test_non_finite_pass_ends_the_refinement():
+    # NaN fails every comparison: without an explicit stop the panels were
+    # bisected to the depth limit and the head walked on to x = 1e-250
+    val, err, n = quad._adaptive_panels(lambda x: np.full(x.shape, np.nan),
+                                        [0.0, 1.0, 2.0], 1e-8, 1e-12, 12,
+                                        max_panels=64)
+    assert math.isnan(val) and n == 2 * 15
+    seen = []
+
+    def g(x):
+        seen.append(x.size)
+        return np.where(x < 1e-20, np.nan, x ** -0.99 * np.exp(-x))
+
+    with pytest.raises(QuadratureError, match="non-finite"):
+        integrate_even_singular(g, 1.0, 0.99, QuadratureConfig(rel_tol=1e-8))
+    assert sum(seen) < 100_000
+
+
 def test_oscillatory_slow_decay_integral():
     # int_R (1 - cos(t x)) |x|^{-2} dx = pi t  (the alpha-norm prototype)
     cfg = QuadratureConfig(rel_tol=1e-9)
@@ -134,16 +224,23 @@ def _qawf_ft(h, t, u):
     return 2.0 * (head + tail)
 
 
+# QUADPACK cannot certify its own 1e-13 requests at h = 1.2 and 1.8 and warns;
+# the closed-form assertion bounds the oracle to 1e-8 all the same
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 @pytest.mark.parametrize("u", [-1.3, 0.4, 2.5])
 def test_ft_against_quadpack_qawf(u):
-    h, t = 1.5, 1.0
+    # u = 2.5 > t is a vanishing point of the transform; at h = 1.2 the
+    # engine's error there can exceed its estimate (about 1e-7 at
+    # rel_tol = abs_tol = 1e-7), which the 1e-6 absolute bound covers
+    t = 1.0
     cfg = QuadratureConfig(rel_tol=1e-7, abs_tol=1e-7)
-    got = oscillatory_ft(_ft_integrand(h, t), u, envelope_decay=h, cfg=cfg,
-                         inner_frequencies=(-t,), singular_exponent=h - 1.0,
-                         hermitian=True)
-    want = _qawf_ft(h, t, u)
-    assert want == pytest.approx(_ft_closed_form(h, t, u), abs=1e-8)
-    assert got.real == pytest.approx(want, rel=1e-6, abs=1e-6)
+    for h in (1.2, 1.5, 1.8):
+        got = oscillatory_ft(_ft_integrand(h, t), u, envelope_decay=h, cfg=cfg,
+                             inner_frequencies=(-t,), singular_exponent=h - 1.0,
+                             hermitian=True)
+        want = _qawf_ft(h, t, u)
+        assert want == pytest.approx(_ft_closed_form(h, t, u), abs=1e-8)
+        assert got.real == pytest.approx(want, rel=1e-6, abs=1e-6)
 
 
 @pytest.mark.parametrize("u", [0.0, 1.0])

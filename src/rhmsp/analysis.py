@@ -454,11 +454,15 @@ def _ft_closed_form(h: float, t: float, u) -> float:
 
 def _ft_integrand(h: float, t: float):
     """f_{h,t}(x) = (e^{-itx} - 1) |x|^{-h} e^{i pi h sgn(x)/2}, the kernel
-    whose transform has the closed form above."""
+    whose transform has the closed form above.  The phase factor takes only
+    three values, for sgn(x) = -1, 0 and 1; they are computed once, by the
+    same expression, and selected per node."""
+    neg, zero, pos = np.exp(1j * math.pi * h * np.array([-1.0, 0.0, 1.0]) / 2.0)
+
     def f(x):
         x = np.asarray(x, dtype=float)
         return ((np.exp(-1j * t * x) - 1.0) * np.abs(x) ** (-h)
-                * np.exp(1j * math.pi * h * np.sign(x) / 2.0))
+                * np.where(x > 0.0, pos, np.where(x < 0.0, neg, zero)))
     return f
 
 

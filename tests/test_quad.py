@@ -114,6 +114,96 @@ def test_windowed_mean_evaluates_each_node_once():
     assert np.unique(nodes).size == nodes.size
 
 
+def _cusps(x):
+    return np.abs(np.cos(3.0 * x)) ** 1.5 * x ** -1.7
+
+
+def _cusp_rows(x):
+    return np.stack([_cusps(x), np.exp(-0.1 * x) * (1.0 + np.sin(x)), x ** -0.5])
+
+
+# window layout of a tail pass at rel_tol 1e-8 for frequency 3: x_lo = 40
+_SIGMA = quad._window_sigma(1e-8) / 3.0
+_WINDOW = (40.0, _SIGMA, 6.5 * _SIGMA, math.pi / 3.0)
+
+
+@pytest.mark.parametrize("g", [_cusps, _cusp_rows], ids=["scalar", "rows"])
+@pytest.mark.parametrize("batch", [quad._WINDOW_BATCH, 40])
+def test_windowed_means_are_each_windows_own_mean(monkeypatch, g, batch):
+    # a window far past x_lo, one clipped at it, one empty (x + hw <= x_lo),
+    # and tight tolerances that take some windows through several passes
+    x_lo, sigma, hw, width = _WINDOW
+    xs = [60.0, 41.0, x_lo - hw - 1.0, 47.3, 90.0, 52.5]
+    monkeypatch.setattr(quad, "_WINDOW_BATCH", batch)   # 40: several groups
+    for rel_tol in (1e-6, 1e-12):
+        means, n = quad._windowed_means(g, xs, x_lo, sigma, hw, width, rel_tol)
+        assert means.shape == np.shape(g(np.ones(1)))[:-1] + (len(xs),)
+        alone = [quad._windowed_mean(g, x, x_lo, sigma, hw, width, rel_tol)
+                 for x in xs]
+        for j, (mean, _) in enumerate(alone):
+            np.testing.assert_array_equal(means[..., j], mean)
+        assert n == sum(k for _, k in alone)
+        assert alone[2] == (0.0, 0) and np.all(means[..., 2] == 0.0)
+    # at 1e-12 the first window is bisected at least twice
+    seen = []
+    quad._windowed_mean(lambda x: seen.append(x.size) or g(x), xs[0], x_lo,
+                        sigma, hw, width, 1e-12)
+    assert len(seen) >= 3
+
+
+def test_windowed_means_share_integrand_calls():
+    # each pass evaluates g in _GK_BLOCK chunks over every live window, so
+    # the calls are at most one per pass plus one per full chunk, not one
+    # per window and pass
+    x_lo, sigma, hw, width = _WINDOW
+    xs = list(np.linspace(x_lo + hw, 400.0, 60))
+    passes = []
+    for x in xs:
+        seen = []
+        quad._windowed_mean(lambda y: seen.append(y.size) or _cusps(y), x, x_lo,
+                            sigma, hw, width, 1e-10)
+        assert max(seen) < quad._GK_BLOCK   # a window alone: one call a pass
+        passes.append(len(seen))
+    seen = []
+    _, n = quad._windowed_means(lambda y: seen.append(y.size) or _cusps(y), xs,
+                                x_lo, sigma, hw, width, 1e-10)
+    assert n == sum(seen)
+    chunk = quad._XK.size * (quad._GK_BLOCK // quad._XK.size)
+    assert len(seen) <= max(passes) + n // chunk
+    assert len(seen) < sum(passes) / 4
+
+
+# values recorded, as float.hex, when every windowed mean was computed on
+# its own and the Fourier phase per node: the lock-step windowed means and
+# the selected phase must reproduce them bit for bit
+def test_windowed_tail_bits_are_pinned():
+    from rhmsp import ProcessSpec, StabilityIndex, KernelVariant, parse_hurst
+    from rhmsp.analysis import ft_check
+    from rhmsp.norms import _raw_norm_integral
+
+    assert ft_check(1.2, 0.5).metric.hex() == "0x1.90e51acf53000p-14"
+    spec = ProcessSpec(alpha=StabilityIndex(1.5),
+                       hurst=parse_hurst("sine:0.5,0.1,1", 4.0),
+                       kernel=KernelVariant.X, horizon=4.0)
+    raw = _raw_norm_integral(spec, (1.0, 1.25), (-1.0, 1.0),
+                             QuadratureConfig(rel_tol=1e-8))
+    assert float(raw).hex() == "0x1.1239adf52b73ep+1"
+
+
+@pytest.mark.parametrize("h", [1.2, 1.5, 1.8])
+def test_ft_integrand_selects_the_phase_bits(h):
+    # three precomputed phases, selected per node, equal the per-node
+    # exp(i pi h sgn(x) / 2) bit for bit (NaN at x = 0 in both)
+    t = 0.7
+    x = np.concatenate([-np.logspace(-8, 8, 401)[::-1], [-0.0, 0.0],
+                        np.logspace(-8, 8, 401)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        old = ((np.exp(-1j * t * x) - 1.0) * np.abs(x) ** (-h)
+               * np.exp(1j * math.pi * h * np.sign(x) / 2.0))
+        new = _ft_integrand(h, t)(x)
+    assert np.array_equal(new, old, equal_nan=True)
+
+
 def test_non_finite_pass_ends_the_refinement():
     # NaN fails every comparison: without an explicit stop the panels were
     # bisected to the depth limit and the head walked on to x = 1e-250

@@ -45,26 +45,41 @@ DEFAULT_U_GRID = (-2.0, -1.0, -0.5, 0.25, 0.5, 0.75, 1.5, 3.0)
 # report plumbing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CheckReport:
-    """One verification outcome.  ``passed`` is derived: metric <= threshold
-    (or >=, per ``direction``)."""
+    """One verification outcome.  ``passed`` is derived from the other
+    fields: metric <= threshold or metric >= threshold, per ``direction``.
+
+    The constructor still takes a ``passed`` flag from callers that state
+    one; a flag that disagrees with the derived one is rejected."""
 
     check: str
     parameters: Dict[str, object]
     metric: float
     threshold: float
     direction: str          # "<=" or ">="
-    passed: bool
     artifacts: Tuple[str, ...] = ()
 
-    def __post_init__(self):
-        if self.direction not in ("<=", ">="):
+    def __init__(self, check: str, parameters: Dict[str, object],
+                 metric: float, threshold: float, direction: str = "<=",
+                 artifacts: Sequence[str] = (),
+                 passed: Optional[bool] = None):
+        if direction not in ("<=", ">="):
             raise ValueError("direction must be '<=' or '>='")
-        want = (self.metric <= self.threshold if self.direction == "<="
-                else self.metric >= self.threshold)
-        if bool(self.passed) != want:
+        for name, value in (("check", check), ("parameters", dict(parameters)),
+                            ("metric", float(metric)),
+                            ("threshold", float(threshold)),
+                            ("direction", direction),
+                            ("artifacts", tuple(artifacts))):
+            object.__setattr__(self, name, value)
+        if passed is not None and bool(passed) != self.passed:
             raise ValueError("pass flag inconsistent with metric/threshold")
+
+    @property
+    def passed(self) -> bool:
+        if self.direction == "<=":
+            return self.metric <= self.threshold
+        return self.metric >= self.threshold
 
     def to_dict(self) -> dict:
         return {
@@ -87,14 +102,6 @@ class CheckReport:
         """The same outcome with `extra` added to (or overriding) its
         parameters, e.g. the run's provenance as ``config=...``."""
         return replace(self, parameters={**self.parameters, **extra})
-
-
-def _report(check, parameters, metric, threshold, direction="<=") -> CheckReport:
-    metric = float(metric)
-    threshold = float(threshold)
-    ok = metric <= threshold if direction == "<=" else metric >= threshold
-    return CheckReport(check=check, parameters=dict(parameters), metric=metric,
-                       threshold=threshold, direction=direction, passed=bool(ok))
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +154,7 @@ def holder_slope(ensemble, deltas: Sequence[float],
         "slopes": [float(s) for s in slopes],
         "h_hat": h_hat,
     }
-    return _report("holder_slope", params, abs(median_slope - h_hat), threshold)
+    return CheckReport("holder_slope", params, abs(median_slope - h_hat), threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +207,7 @@ def localizability_error(spec: ProcessSpec, t: float, delta: float,
         "h_t": h_t, "rel_tol": cfg.rel_tol,
         "per_u_error": errs,
     }
-    return _report("localizability_error", params, worst, threshold)
+    return CheckReport("localizability_error", params, worst, threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +277,7 @@ def lemma_sweeps(spec: ProcessSpec,
             sup_ratio = max(sup_ratio, nrm / abs(hs[j] - hs[i]))
             pair_count += 1
     # finiteness is the claim; the threshold is a generous desk-scale cap
-    rep1 = _report(
+    rep1 = CheckReport(
         "hurst_difference_bound",
         {"alpha": alpha, "t": t_ref, "h_grid": [float(h) for h in hs],
          "pairs": pair_count, "sup_ratio": sup_ratio},
@@ -289,7 +296,7 @@ def lemma_sweeps(spec: ProcessSpec,
         ratios.append(increment_norm(flat_spec, t_ref + gap, t_ref, cfg)
                       / gap ** h_flat)
     ratios = np.asarray(ratios)
-    rep2 = _report(
+    rep2 = CheckReport(
         "selfsimilar_flatness",
         {"alpha": alpha, "h": h_flat, "t": t_ref,
          "gap_exponents": [int(k) for k in flat_gap_exponents],
@@ -315,7 +322,7 @@ def lemma_sweeps(spec: ProcessSpec,
     c1 = 0.95 * min(r[3] for r in rows[0::2])
     c2 = 1.05 * max(r[4] for r in rows[0::2])
     violations = sum(1 for r in rows if r[3] < c1 or r[4] > c2)
-    rep3 = _report(
+    rep3 = CheckReport(
         "increment_sandwich",
         {"spec": spec.to_config(), "pairs": len(rows),
          "C1": c1, "C2": c2,
@@ -432,7 +439,7 @@ def lnd_study(spec: ProcessSpec, center: float, spacings: Sequence[float],
         "rel_tol": cfg.rel_tol,
         "table": table,
     }
-    return _report("lnd_study", params, metric, floor_value, direction=">=")
+    return CheckReport("lnd_study", params, metric, floor_value, direction=">=")
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +523,7 @@ def ft_check(h: float, t: float,
                   "per_u": per_u, "max_abs_at_zero": worst_zero}
         # the vanishing points must also sit below the absolute tolerance
         metric = max(worst_rel, worst_zero / cfg.abs_tol * threshold)
-        return _report("ft_check", params, metric, threshold)
+        return CheckReport("ft_check", params, metric, threshold)
 
     # duality branch: pair against Gaussian tests centred on the grid
     width = 0.5 * t
@@ -569,4 +576,4 @@ def ft_check(h: float, t: float,
         per_u["mu=%g" % mu] = rel
     params = {"h": h, "t": t, "u_grid": u_grid, "mode": "duality",
               "test_width": width, "per_u": per_u}
-    return _report("ft_check", params, worst, threshold)
+    return CheckReport("ft_check", params, worst, threshold)

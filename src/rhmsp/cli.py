@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analysis, lepage, localtime
 from .lepage import LePageConfig, derive_constants, sample_paths
-from .model import KernelVariant, ProcessSpec, StabilityIndex
+from .model import HurstFunction, KernelVariant, ProcessSpec, StabilityIndex
 from .norms import FddPoint, OptimizerConfig, exact_cf, scale_norm
 from .quad import QuadratureConfig, QuadratureError
 
@@ -169,13 +169,16 @@ def emit(report: analysis.CheckReport) -> None:
              report.metric, report.direction, report.threshold))
 
 
-def write_report(report: analysis.CheckReport, out_dir: str,
-                 name: str, extra_artifacts: Sequence[str] = ()) -> None:
+def write_report(report: analysis.CheckReport, out_dir: str, name: str,
+                 config: Dict[str, str],
+                 extra_artifacts: Sequence[str] = ()) -> None:
+    """Write `report` as ``<name>.json`` with the run's provenance as its
+    ``config`` parameter."""
     path = os.path.join(out_dir, name + ".json")
     # record artifacts relative to the report directory so identical runs
     # into different --out roots stay byte-identical
     rel = [os.path.relpath(p, out_dir) for p in list(extra_artifacts) + [path]]
-    rep = report.with_artifacts(rel)
+    rep = report.with_parameters(config=config).with_artifacts(rel)
     write_text(path, rep.to_json())
 
 
@@ -234,6 +237,31 @@ def _random_points(grid: np.ndarray, count: int, seed: int) -> List[FddPoint]:
     return points
 
 
+def _cf_check(spec: ProcessSpec, ens: lepage.PathEnsemble,
+              points: Sequence[FddPoint], qcfg: QuadratureConfig):
+    """Empirical against exact cf at `points`: a report whose metric is the
+    worst error over its budget (3 standard errors plus the truncation bias),
+    and the per-point CSV text."""
+    terms = ens.config.terms
+    bias = lepage.bias_budget(spec.alpha, terms)
+    metric = 0.0
+    lines = ["times,coeffs,empirical_re,empirical_im,stderr,exact,abs_error,budget"]
+    for pt in points:
+        emp, se = lepage.empirical_cf(ens, pt)
+        exact = exact_cf(spec, pt, qcfg)
+        err = abs(emp - exact)
+        budget = 3.0 * se + bias
+        metric = max(metric, err / budget)
+        lines.append("%s,%s,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % (
+            ";".join("%.17g" % t for t in pt.times),
+            ";".join("%.17g" % c for c in pt.coeffs),
+            emp.real, emp.imag, se, exact, err, budget))
+    params = {"paths": ens.paths.shape[0], "terms": terms,
+              "points": len(points), "bias_budget": bias}
+    report = analysis.CheckReport("cf_check", params, metric, 1.0)
+    return report, "\n".join(lines) + "\n"
+
+
 def cmd_cf_check(args) -> int:
     cfg = resolve_config(args)
     spec = build_spec(cfg)
@@ -242,34 +270,11 @@ def cmd_cf_check(args) -> int:
     out = check_out_dir(args.out, args.force)
     grid = parse_grid(args.grid)
     ens = _sample_grid_paths(spec, grid, args.paths, terms=args.terms, seed=seed)
-    points = _random_points(grid, args.points, seed)
-    bias = lepage.bias_budget(spec.alpha, args.terms)
-    rows = []
-    metric = 0.0
-    for pt in points:
-        emp, se = lepage.empirical_cf(ens, pt)
-        exact = exact_cf(spec, pt, qcfg)
-        err = abs(emp - exact)
-        budget = 3.0 * se + bias
-        metric = max(metric, err / budget)
-        rows.append((pt, emp, se, exact, err, budget))
-    params = {
-        "config": {**cfg, "seed": str(seed)},
-        "paths": args.paths, "terms": args.terms, "points": args.points,
-        "bias_budget": bias,
-    }
-    report = analysis.CheckReport(
-        check="cf_check", parameters=params, metric=float(metric),
-        threshold=1.0, direction="<=", passed=bool(metric <= 1.0))
-    lines = ["times,coeffs,empirical_re,empirical_im,stderr,exact,abs_error,budget"]
-    for pt, emp, se, exact, err, budget in rows:
-        lines.append("%s,%s,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % (
-            ";".join("%.17g" % t for t in pt.times),
-            ";".join("%.17g" % c for c in pt.coeffs),
-            emp.real, emp.imag, se, exact, err, budget))
+    report, csv_text = _cf_check(spec, ens, _random_points(grid, args.points, seed),
+                                 qcfg)
     csv_path = os.path.join(out, "cf_points.csv")
-    write_text(csv_path, "\n".join(lines) + "\n")
-    write_report(report, out, "cf_check", [csv_path])
+    write_text(csv_path, csv_text)
+    write_report(report, out, "cf_check", {**cfg, "seed": str(seed)}, [csv_path])
     emit(report)
     return 0 if report.passed else 1
 
@@ -310,7 +315,6 @@ def cmd_lnd(args) -> int:
             floor_value=args.floor)
     except ValueError as exc:
         raise CliError(str(exc))
-    report = report.with_parameters(config=cfg)
     lines = ["kernel,spacing,ratio,hy_chain_bound"]
     for row in report.parameters["table"]:
         lines.append("%s,%.17g,%.17g,%s" % (
@@ -318,7 +322,7 @@ def cmd_lnd(args) -> int:
             "%.17g" % row["hy_chain_bound"] if "hy_chain_bound" in row else ""))
     csv_path = os.path.join(out, "lnd_ratios.csv")
     write_text(csv_path, "\n".join(lines) + "\n")
-    write_report(report, out, "lnd_study", [csv_path])
+    write_report(report, out, "lnd_study", cfg, [csv_path])
     emit(report)
     return 0 if report.passed else 1
 
@@ -336,10 +340,45 @@ def cmd_localize(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc))
     for i, report in enumerate(reports):
-        report = report.with_parameters(config=cfg)
-        write_report(report, out, "localize_%d" % i)
+        write_report(report, out, "localize_%d" % i, cfg)
         emit(report)
     return 0 if all(r.passed for r in reports) else 1
+
+
+def _localtime_checks(spec: ProcessSpec, grid: np.ndarray, t: float, bins: int,
+                      terms: int, seed: int, threshold: float, out: str,
+                      provenance: Dict[str, str]):
+    """Occupation histogram of one sampled path over [0, t], written to `out`
+    as ``localtime.csv`` with its sidecar, and its mass-identity and
+    occupation-residual reports, written there and returned."""
+    ens = _sample_grid_paths(spec, grid, 1, terms=terms, seed=seed)
+    path = localtime.ensemble_path(ens, 0)
+    est = localtime.occupation_histogram(path, t, bins)
+    mass = float(np.sum(est.values) * est.bin_width)
+    mass_report = analysis.CheckReport(
+        "localtime_mass_identity", {"t": t, "bins": bins, "mass": mass},
+        abs(mass - t), 1e-10 * t)
+    centre = float(np.median(path.values[:-1]))
+    spread = float(np.std(path.values[:-1])) or 1.0
+    test = localtime.TestFunction.gaussian(centre, 0.5 * spread)
+    residual = localtime.occupation_formula_check(path, est, test)
+    occ_report = analysis.CheckReport(
+        "localtime_occupation_residual",
+        {"t": t, "bins": bins, "test_center": centre, "test_width": 0.5 * spread},
+        residual, threshold)
+    lines = ["x,L"]
+    for x, v in zip(est.centers, est.values):
+        lines.append("%.17g,%.17g" % (x, v))
+    csv_path = os.path.join(out, "localtime.csv")
+    write_text(csv_path, "\n".join(lines) + "\n")
+    write_text(os.path.join(out, "localtime.json"), sidecar_json({
+        "config": provenance,
+        "window": [0.0, t], "bin_width": est.bin_width,
+        "path_dt": est.path_dt, "source_path": 0,
+    }))
+    write_report(mass_report, out, "mass_identity", provenance, [csv_path])
+    write_report(occ_report, out, "occupation_residual", provenance, [csv_path])
+    return mass_report, occ_report
 
 
 def cmd_localtime(args) -> int:
@@ -352,42 +391,12 @@ def cmd_localtime(args) -> int:
     if not on_grid.size:
         raise CliError("--t must lie on the grid")
     t = float(grid[on_grid[0]])   # the grid point itself, which the histogram needs
-    ens = _sample_grid_paths(spec, grid, 1, terms=args.terms, seed=seed)
-    path = localtime.ensemble_path(ens, 0)
-    est = localtime.occupation_histogram(path, t, args.bins)
-    mass = float(np.sum(est.values) * est.bin_width)
-    mass_report = analysis.CheckReport(
-        check="localtime_mass_identity",
-        parameters={"config": {**cfg, "seed": str(seed)}, "t": t,
-                    "bins": args.bins, "mass": mass},
-        metric=abs(mass - t), threshold=1e-10 * t,
-        direction="<=", passed=bool(abs(mass - t) <= 1e-10 * t))
-    centre = float(np.median(path.values[:-1]))
-    spread = float(np.std(path.values[:-1])) or 1.0
-    test = localtime.TestFunction.gaussian(centre, 0.5 * spread)
-    residual = localtime.occupation_formula_check(path, est, test)
-    occ_report = analysis.CheckReport(
-        check="localtime_occupation_residual",
-        parameters={"config": {**cfg, "seed": str(seed)}, "t": t,
-                    "bins": args.bins, "test_center": centre,
-                    "test_width": 0.5 * spread},
-        metric=float(residual), threshold=args.residual_threshold,
-        direction="<=", passed=bool(residual <= args.residual_threshold))
-    lines = ["x,L"]
-    for x, v in zip(est.centers, est.values):
-        lines.append("%.17g,%.17g" % (x, v))
-    csv_path = os.path.join(out, "localtime.csv")
-    write_text(csv_path, "\n".join(lines) + "\n")
-    write_text(os.path.join(out, "localtime.json"), sidecar_json({
-        "config": {**cfg, "seed": str(seed)},
-        "window": [0.0, t], "bin_width": est.bin_width,
-        "path_dt": est.path_dt, "source_path": 0,
-    }))
-    write_report(mass_report, out, "mass_identity", [csv_path])
-    write_report(occ_report, out, "occupation_residual", [csv_path])
-    emit(mass_report)
-    emit(occ_report)
-    ok = mass_report.passed and occ_report.passed
+    reports = _localtime_checks(spec, grid, t, args.bins, args.terms, seed,
+                                args.residual_threshold, out,
+                                {**cfg, "seed": str(seed)})
+    for report in reports:
+        emit(report)
+    ok = all(r.passed for r in reports)
     if args.m2:
         hs = parse_floats(args.m2, "m2 window list")
         rows = ["h,m2"]
@@ -409,8 +418,7 @@ def cmd_ft_check(args) -> int:
                                    alpha=float(cfg["alpha"]))
     except ValueError as exc:
         raise CliError(str(exc))
-    report = report.with_parameters(config=cfg)
-    write_report(report, out, "ft_check")
+    write_report(report, out, "ft_check", cfg)
     emit(report)
     return 0 if report.passed else 1
 
@@ -427,13 +435,13 @@ def cmd_holder(args) -> int:
                             tail_compensation=False)
     deltas = parse_floats(args.deltas, "deltas")
     report = analysis.holder_slope(ens, deltas, threshold=args.threshold)
-    report = report.with_parameters(config={**cfg, "seed": str(seed)})
     lines = ["path,slope"]
     for j, s in enumerate(report.parameters["slopes"]):
         lines.append("%d,%.17g" % (j, s))
     csv_path = os.path.join(out, "slopes.csv")
     write_text(csv_path, "\n".join(lines) + "\n")
-    write_report(report, out, "holder_slope", [csv_path])
+    write_report(report, out, "holder_slope", {**cfg, "seed": str(seed)},
+                 [csv_path])
     emit(report)
     return 0 if report.passed else 1
 
@@ -451,67 +459,51 @@ def cmd_verify_all(args) -> int:
     provenance = {**cfg, "seed": str(seed)}
     reports: List[analysis.CheckReport] = []
 
-    def sub(name: str) -> str:
-        return os.path.join(out, name)
+    def record(report: analysis.CheckReport, sub_dir: str, name: str) -> None:
+        write_report(report, os.path.join(out, sub_dir), name, provenance)
+        reports.append(report)
 
     # 1. series constants against the reflection-formula identity
     c_alpha, sigma = derive_constants(spec.alpha)
     a = spec.alpha.alpha
     # Gamma(1-a) and cos(pi a/2) are both negative on (1,2): positive product
     ident = (math.gamma(1.0 - a) * math.cos(math.pi * a / 2.0)) ** (-1.0 / a)
-    dev = abs(c_alpha / ident - 1.0)
-    rep = analysis.CheckReport(
-        check="constants_identity",
-        parameters={"config": provenance, "c_alpha": c_alpha,
-                    "gauss_sigma": sigma, "identity": ident},
-        metric=dev, threshold=1e-10,
-        direction="<=", passed=bool(dev <= 1e-10))
-    write_report(rep, sub("constants"), "constants")
-    reports.append(rep)
+    record(analysis.CheckReport(
+        "constants_identity",
+        {"c_alpha": c_alpha, "gauss_sigma": sigma, "identity": ident},
+        abs(c_alpha / ident - 1.0), 1e-10), "constants", "constants")
 
     # 2. exact self-similarity of the norm engine (depends on quad+norms)
     h0 = float(spec.hurst(1.0)) if spec.hurst.form != "const" \
         else spec.hurst.params[0]
-    from .model import HurstFunction
     flat = ProcessSpec(alpha=spec.alpha,
                        hurst=HurstFunction("const", (h0,), spec.horizon),
                        kernel=spec.kernel, horizon=spec.horizon)
     ratios = [scale_norm(flat, FddPoint((t,), (1.0,)), qcfg) / t ** h0
               for t in (0.25, 1.0, 4.0) if t <= spec.horizon]
-    mm = max(ratios) / min(ratios)
-    rep = analysis.CheckReport(
-        check="selfsimilarity",
-        parameters={"config": provenance, "h": h0, "ratios": ratios},
-        metric=mm, threshold=1.0 + 10.0 * qcfg.rel_tol,
-        direction="<=", passed=bool(mm <= 1.0 + 10.0 * qcfg.rel_tol))
-    write_report(rep, sub("selfsim"), "selfsimilarity")
-    reports.append(rep)
+    record(analysis.CheckReport(
+        "selfsimilarity", {"h": h0, "ratios": ratios},
+        max(ratios) / min(ratios), 1.0 + 10.0 * qcfg.rel_tol),
+        "selfsim", "selfsimilarity")
 
     # 3. appendix FT identity (depends on quad only)
-    rep = analysis.ft_check(1.5, 1.0, alpha=a)
-    rep = rep.with_parameters(config=provenance)
-    write_report(rep, sub("ft"), "ft_check")
-    reports.append(rep)
+    record(analysis.ft_check(1.5, 1.0, alpha=a), "ft", "ft_check")
 
     # 4. localizability at one coarse delta (depends on norms)
-    rep = analysis.localizability_error(flat, 0.5, 0.1, cfg=qcfg,
-                                        threshold=4.0 * qcfg.rel_tol)
-    rep = rep.with_parameters(config=provenance)
-    write_report(rep, sub("localize"), "localizability")
-    reports.append(rep)
+    record(analysis.localizability_error(flat, 0.5, 0.1, cfg=qcfg,
+                                         threshold=4.0 * qcfg.rel_tol),
+           "localize", "localizability")
 
     # 5. LND sanity row (depends on norms + optimizer plumbing)
-    rep = analysis.lnd_study(flat, 0.5, [2.0 ** -4], 2, cfg=qcfg,
-                             floor_value=1.0 - 10.0 * qcfg.rel_tol)
-    rep = rep.with_parameters(config=provenance)
-    write_report(rep, sub("lnd"), "lnd_study")
-    reports.append(rep)
+    record(analysis.lnd_study(flat, 0.5, [2.0 ** -4], 2, cfg=qcfg,
+                              floor_value=1.0 - 10.0 * qcfg.rel_tol),
+           "lnd", "lnd_study")
 
     # 6. simulation shape + determinism (depends on lepage)
     grid = np.linspace(0.0, 1.0, 129)
     ens = sample_paths(spec, grid, 100, LePageConfig(terms=400, seed=seed))
     csv = lepage.ensemble_to_csv(ens)
-    sim_dir = sub("simulate")
+    sim_dir = os.path.join(out, "simulate")
     write_text(os.path.join(sim_dir, "paths.csv"), csv)
     write_text(os.path.join(sim_dir, "paths.json"), sidecar_json({
         "config": provenance, "paths": 100, "terms": 400,
@@ -520,66 +512,21 @@ def cmd_verify_all(args) -> int:
     }))
 
     # 7. empirical vs exact characteristic function (depends on 6 + norms)
-    points = _random_points(grid, 5, seed)
-    bias = lepage.bias_budget(spec.alpha, 400)
-    worst = 0.0
-    for pt in points:
-        emp, se = lepage.empirical_cf(ens, pt)
-        worst = max(worst, abs(emp - exact_cf(spec, pt, qcfg))
-                    / (3.0 * se + bias))
-    rep = analysis.CheckReport(
-        check="cf_check",
-        parameters={"config": provenance, "points": 5, "paths": 100,
-                    "terms": 400, "bias_budget": bias},
-        metric=float(worst), threshold=1.0,
-        direction="<=", passed=bool(worst <= 1.0))
-    write_report(rep, sub("cf"), "cf_check")
-    reports.append(rep)
+    report, _ = _cf_check(spec, ens, _random_points(grid, 5, seed), qcfg)
+    record(report, "cf", "cf_check")
 
     # 8. local-time mass identity + occupation residual (depends on 6)
     lt_grid = np.linspace(0.0, 1.0, 4097)
-    lt_ens = sample_paths(spec, lt_grid, 1, LePageConfig(terms=400, seed=seed))
-    path = localtime.ensemble_path(lt_ens, 0)
-    est = localtime.occupation_histogram(path, 1.0, 64)
-    mass = float(np.sum(est.values) * est.bin_width)
-    rep = analysis.CheckReport(
-        check="localtime_mass_identity",
-        parameters={"config": provenance, "bins": 64, "mass": mass},
-        metric=abs(mass - 1.0), threshold=1e-10,
-        direction="<=", passed=bool(abs(mass - 1.0) <= 1e-10))
-    lt_dir = sub("localtime")
-    lines = ["x,L"]
-    for x, v in zip(est.centers, est.values):
-        lines.append("%.17g,%.17g" % (x, v))
-    write_text(os.path.join(lt_dir, "localtime.csv"), "\n".join(lines) + "\n")
-    write_text(os.path.join(lt_dir, "localtime.json"), sidecar_json({
-        "config": provenance, "window": [0.0, 1.0],
-        "bin_width": est.bin_width, "path_dt": est.path_dt,
-        "source_path": 0}))
-    write_report(rep, lt_dir, "mass_identity")
-    reports.append(rep)
-    centre = float(np.median(path.values[:-1]))
-    spread = float(np.std(path.values[:-1])) or 1.0
-    residual = localtime.occupation_formula_check(
-        path, est, localtime.TestFunction.gaussian(centre, 0.5 * spread))
-    rep = analysis.CheckReport(
-        check="localtime_occupation_residual",
-        parameters={"config": provenance, "bins": 64},
-        metric=float(residual), threshold=0.05,
-        direction="<=", passed=bool(residual <= 0.05))
-    write_report(rep, lt_dir, "occupation_residual")
-    reports.append(rep)
+    reports.extend(_localtime_checks(spec, lt_grid, 1.0, 64, 400, seed, 0.05,
+                                     os.path.join(out, "localtime"), provenance))
 
     # 9. Hölder slope on a fine uncompensated ensemble (depends on 6); the
     # tail-compensation white noise would flatten the modulus regression
     h_ens = sample_paths(spec, lt_grid, 8,
                          LePageConfig(terms=400, seed=seed,
                                       tail_compensation=False))
-    rep = analysis.holder_slope(h_ens, [2.0 ** -k for k in range(4, 10)],
-                                threshold=0.2)
-    rep = rep.with_parameters(config=provenance)
-    write_report(rep, sub("holder"), "holder_slope")
-    reports.append(rep)
+    record(analysis.holder_slope(h_ens, [2.0 ** -k for k in range(4, 10)],
+                                 threshold=0.2), "holder", "holder_slope")
 
     for rep in reports:
         emit(rep)

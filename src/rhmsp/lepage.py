@@ -42,15 +42,12 @@ __all__ = [
 @dataclass(frozen=True)
 class LePageConfig:
     terms: int = 5000
-    aux_density: str = "Cauchy"
     seed: int = 0
     tail_compensation: bool = True
 
     def __post_init__(self):
         if self.terms < 100:
             raise ValueError("terms must be >= 100")
-        if self.aux_density != "Cauchy":
-            raise ValueError("only the Cauchy auxiliary density is supported")
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ValueError("seed must be an unsigned 64-bit integer")
 

@@ -65,7 +65,6 @@ class LocalTimeEstimate:
     values: np.ndarray          # occupation density per bin
     bin_width: float
     path_dt: float
-    degenerate: bool = False    # constant-path warning flag
 
     @property
     def centers(self):
@@ -137,7 +136,6 @@ def occupation_histogram(path: SamplePath, t: float, bin_count: int,
     xs = path.values[idx]
     dt_typ = float(np.median(dts))
 
-    degenerate = False
     if edges is not None:
         edges = np.asarray(edges, dtype=float)
         width = float(edges[1] - edges[0])
@@ -145,7 +143,6 @@ def occupation_histogram(path: SamplePath, t: float, bin_count: int,
         lo, hi = float(np.min(xs)), float(np.max(xs))
         span = hi - lo
         if span == 0.0:
-            degenerate = True
             width = 1.0
             edges = np.array([lo - 0.5, lo + 0.5])
         else:
@@ -157,7 +154,7 @@ def occupation_histogram(path: SamplePath, t: float, bin_count: int,
     mass = np.bincount(pos, weights=dts, minlength=nbins)
     return LocalTimeEstimate(window=(start, t), x_grid=edges,
                              values=mass / width, bin_width=width,
-                             path_dt=dt_typ, degenerate=degenerate)
+                             path_dt=dt_typ)
 
 
 def occupation_formula_check(path: SamplePath, estimate: LocalTimeEstimate,

@@ -2,8 +2,8 @@
 
 A process law is (alpha, H(.), kernel variant, horizon).  The Hurst function
 comes from a small text mini-language whose forms are all C^1, so the bounds
-hHat/hCheck and the Hoelder data (gamma = 1, sup|H'|) are computed analytically
-at construction time instead of by sampling.
+hHat/hCheck and the Hoelder constant sup|H'| are computed analytically at
+construction time instead of by sampling.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ class HurstFunction:
     horizon: float
     h_hat: float = field(init=False)
     h_check: float = field(init=False)
-    gamma: float = field(init=False)
     holder_const: float = field(init=False)
 
     def __post_init__(self):
@@ -84,8 +83,6 @@ class HurstFunction:
                 % (lo, hi, self.horizon))
         object.__setattr__(self, "h_hat", lo)
         object.__setattr__(self, "h_check", hi)
-        # every supported form is C^1, so gamma = 1 > hCheck automatically
-        object.__setattr__(self, "gamma", 1.0)
         object.__setattr__(self, "holder_const", dmax)
 
     def _extrema(self):

@@ -478,13 +478,6 @@ def _windowed_means(g, xs, x_lo, sigma, halfwidth, panel_width, rel_tol):
     return np.stack(np.broadcast_arrays(*means), axis=-1), nev
 
 
-def _windowed_mean(g, x, x_lo, sigma, halfwidth, panel_width, rel_tol):
-    """`_windowed_means` at one point: (mean, evaluations)."""
-    means, n = _windowed_means(g, [x], x_lo, sigma, halfwidth, panel_width,
-                               rel_tol)
-    return means[..., 0], n
-
-
 def _windowed_tail(part, cutoff, sigma, halfwidth, panel_width, s, x1,
                    rel_tol, abs_tol, external_value, inner_rel_tol=1e-10):
     """``int_cutoff^x1 part(x) dx`` via exact window averaging.
@@ -537,10 +530,10 @@ def _windowed_tail(part, cutoff, sigma, halfwidth, panel_width, s, x1,
     # the outer integrand inherits absolute noise ~ inner_rel_tol * envelope
     # from the windowed means; without this floor a fully suppressed tail
     # (mean ~ 0) would be refined forever in pursuit of pure noise
-    env2, n_env = _windowed_mean(lambda y: np.abs(part(y)), x2, cutoff,
-                                 sigma, halfwidth, panel_width, rel_tol=1e-3)
+    env2, n_env = _windowed_means(lambda y: np.abs(part(y)), [x2], cutoff,
+                                  sigma, halfwidth, panel_width, rel_tol=1e-3)
     nev += n_env
-    noise = 3.0 * inner_rel_tol * abs(env2) * x2 / s
+    noise = 3.0 * inner_rel_tol * abs(env2[..., 0]) * x2 / s
 
     x1 = max(x1, 2.0 * x2)
     u1 = (x2 / x1) ** s

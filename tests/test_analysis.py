@@ -18,19 +18,27 @@ from conftest import make_spec
 # CheckReport
 # ---------------------------------------------------------------------------
 
-def test_report_pass_consistency_enforced():
+def test_report_pass_is_derived():
+    # metric below, at and above the threshold 1
+    cases = {"<=": (True, True, False), ">=": (False, True, True)}
+    for direction, wants in cases.items():
+        for metric, want in zip((0.5, 1.0, 2.0), wants):
+            rep = CheckReport(check="c", parameters={}, metric=metric,
+                              threshold=1.0, direction=direction)
+            assert rep.passed is want
+            assert json.loads(rep.to_json())["pass"] is want
+            # a stated flag must agree with the derived one
+            assert CheckReport("c", {}, metric, 1.0, direction, passed=want) == rep
+            with pytest.raises(ValueError):
+                CheckReport("c", {}, metric, 1.0, direction, passed=not want)
     with pytest.raises(ValueError):
         CheckReport(check="c", parameters={}, metric=2.0, threshold=1.0,
-                    direction="<=", passed=True)
-    with pytest.raises(ValueError):
-        CheckReport(check="c", parameters={}, metric=2.0, threshold=1.0,
-                    direction=">", passed=True)
+                    direction=">")
 
 
 def test_report_json_schema():
     rep = CheckReport(check="demo", parameters={"b": 1, "a": 2}, metric=0.5,
-                      threshold=1.0, direction="<=", passed=True,
-                      artifacts=("x.csv",))
+                      threshold=1.0, direction="<=", artifacts=("x.csv",))
     data = json.loads(rep.to_json())
     assert set(data) == {"check", "parameters", "metric", "threshold",
                          "direction", "pass", "artifacts"}

@@ -264,3 +264,36 @@ def test_singular_draw_is_one_error_line(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err == "error: kernel is singular at x = 0\n"
     assert not out.exists()
+
+
+def _load(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def test_verify_all_runs_the_single_command_checks(tmp_path, capsys):
+    # verify-all's cf and local-time sections share their code with cf-check
+    # and localtime, so the same arguments give the same reports; every
+    # report carries the run's provenance
+    va = tmp_path / "va"
+    assert run(["verify-all", "--seed", "42", "--out", str(va)]) == 0
+    assert run(["cf-check", "--grid", "0:1:128", "--paths", "100", "--terms",
+                "400", "--points", "5", "--seed", "42",
+                "--out", str(tmp_path / "cf")]) == 0
+    assert run(["localtime", "--grid", "0:1:4096", "--terms", "400", "--t", "1",
+                "--bins", "64", "--seed", "42", "--out", str(tmp_path / "lt")]) == 0
+    pairs = [(va / "cf" / "cf_check.json", tmp_path / "cf" / "cf_check.json")]
+    pairs += [(va / "localtime" / name, tmp_path / "lt" / name)
+              for name in ("mass_identity.json", "occupation_residual.json")]
+    for ours, single in pairs:
+        a, b = _load(ours), _load(single)
+        for key in ("metric", "threshold", "pass", "parameters"):
+            assert a[key] == b[key], (ours, key)
+    reports = 0
+    for root, _, files in os.walk(va):
+        for fn in files:
+            data = _load(os.path.join(root, fn)) if fn.endswith(".json") else {}
+            if "check" in data:
+                assert data["parameters"]["config"]["seed"] == "42", fn
+                reports += 1
+    assert reports == 9

@@ -20,8 +20,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         LePageConfig(terms=10)
     with pytest.raises(ValueError):
-        LePageConfig(aux_density="uniform")
-    with pytest.raises(ValueError):
         LePageConfig(seed=-1)
 
 

@@ -107,10 +107,10 @@ def test_windowed_mean_evaluates_each_node_once():
         return np.abs(np.cos(3.0 * x)) ** 1.5 * x ** -1.7
 
     sigma = quad._window_sigma(1e-8) / 3.0
-    val, n = quad._windowed_mean(g, 60.0, 40.0, sigma, 6.5 * sigma,
-                                 math.pi / 3.0, rel_tol=1e-10)
+    val, n = quad._windowed_means(g, [60.0], 40.0, sigma, 6.5 * sigma,
+                                  math.pi / 3.0, rel_tol=1e-10)
     nodes = np.concatenate(seen)
-    assert val > 0.0 and n == nodes.size
+    assert val[..., 0] > 0.0 and n == nodes.size
     assert np.unique(nodes).size == nodes.size
 
 
@@ -138,16 +138,17 @@ def test_windowed_means_are_each_windows_own_mean(monkeypatch, g, batch):
     for rel_tol in (1e-6, 1e-12):
         means, n = quad._windowed_means(g, xs, x_lo, sigma, hw, width, rel_tol)
         assert means.shape == np.shape(g(np.ones(1)))[:-1] + (len(xs),)
-        alone = [quad._windowed_mean(g, x, x_lo, sigma, hw, width, rel_tol)
+        alone = [quad._windowed_means(g, [x], x_lo, sigma, hw, width, rel_tol)
                  for x in xs]
+        alone = [(mean[..., 0], k) for mean, k in alone]
         for j, (mean, _) in enumerate(alone):
             np.testing.assert_array_equal(means[..., j], mean)
         assert n == sum(k for _, k in alone)
         assert alone[2] == (0.0, 0) and np.all(means[..., 2] == 0.0)
     # at 1e-12 the first window is bisected at least twice
     seen = []
-    quad._windowed_mean(lambda x: seen.append(x.size) or g(x), xs[0], x_lo,
-                        sigma, hw, width, 1e-12)
+    quad._windowed_means(lambda x: seen.append(x.size) or g(x), [xs[0]], x_lo,
+                         sigma, hw, width, 1e-12)
     assert len(seen) >= 3
 
 
@@ -160,8 +161,8 @@ def test_windowed_means_share_integrand_calls():
     passes = []
     for x in xs:
         seen = []
-        quad._windowed_mean(lambda y: seen.append(y.size) or _cusps(y), x, x_lo,
-                            sigma, hw, width, 1e-10)
+        quad._windowed_means(lambda y: seen.append(y.size) or _cusps(y), [x],
+                             x_lo, sigma, hw, width, 1e-10)
         assert max(seen) < quad._GK_BLOCK   # a window alone: one call a pass
         passes.append(len(seen))
     seen = []

@@ -238,6 +238,14 @@ def local_time_second_moment(spec: ProcessSpec, t: float, h: float, x: float,
     scalar norms; the 20 phi sections ||c1 f(s1) + c2 f(s2)||^alpha share
     the time pair and are one stacked quadrature pass, each row certified
     on its own.  ``max_norm_calls`` counts sections, stacked or not.
+
+    Cost: a phi section keeps a constant part (c1 + c2 != 0), so its
+    frequencies s1, s2 cluster around a fast phase with the beat g.  Where
+    (s1 + s2) / 2 >= 12 g the stack takes the two-scale tail of `quad`, and
+    its cost no longer grows as 1/g.  At s1 = 0.5, const H 0.5 and the
+    default tolerance the stack takes 26k nodes at g = 0.02 (where the leak
+    of the fast window is measured) and 6.5k at g = 0.005 and 0.00125,
+    against the one-scale tail's 0.67M, 2.5M and 9.6M.
     """
     t = float(t)
     h = float(h)

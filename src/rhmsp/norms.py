@@ -13,11 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import integrate as _sciint
 from scipy import optimize as _sciopt
+from scipy.special import hyp2f1 as _hyp2f1
 
 from .model import KernelVariant, ProcessSpec
 from .quad import (
@@ -122,6 +124,19 @@ class _Terms:
                     * (self.c1[k] * np.exp(1j * self.nu[k] * x) + self.c0[k]))
         return out
 
+    def fast_parts(self, x, nu_bar):
+        """(A, S) with combo(x) = A + e^{i nu_bar x} S: the constant part
+        A = Sum lam_k c0_k x^{-p_k} and the beats S = Sum lam_k c1_k x^{-p_k}
+        e^{i (nu_k - nu_bar) x}."""
+        x = np.asarray(x, dtype=float)
+        a = np.zeros(self.lam.shape[:-1] + x.shape, dtype=complex)
+        b = np.zeros_like(a)
+        for k in range(self.p.size):
+            env = self.lam[..., k, None] * x ** (-self.p[k])
+            a += env * self.c0[k]
+            b += env * (self.c1[k] * np.exp(1j * (self.nu[k] - nu_bar) * x))
+        return a, b
+
     def phase_factors(self, y):
         """c1_k e^{i nu_k y} + c0_k at the phase samples y, one row per term."""
         return np.array([self.c1[k] * np.exp(1j * self.nu[k] * y) + self.c0[k]
@@ -185,14 +200,107 @@ def _frequency_set(*combos: _Terms) -> Tuple[float, ...]:
     such combinations; unit vectors f_j are not."""
     nu = np.concatenate([c.nu for c in combos])
     vals = {abs(nu[k] - nu[j]) for k in range(nu.size) for j in range(k)}
-    p = np.concatenate([c.p for c in combos])
-    parts = [c.lam * c.c0 for c in combos]
-    constant_free = np.all(p == p[0]) and all(
-        np.all(np.abs(q.sum(axis=-1)) <= 8.0 * np.finfo(float).eps * np.abs(q).sum(axis=-1))
-        for q in parts)
-    if not constant_free:
+    if not _constant_free(combos):
         vals.update(abs(v) for v in nu)
     return tuple(sorted(v for v in vals if v > 1e-15))
+
+
+def _constant_free(combos) -> bool:
+    """Every exponent equal and every constant part Sum lam_k c0_k zero to
+    round-off (see `_frequency_set`)."""
+    p = np.concatenate([c.p for c in combos])
+    parts = [c.lam * c.c0 for c in combos]
+    return bool(np.all(p == p[0]) and all(
+        np.all(np.abs(q.sum(axis=-1)) <= 8.0 * np.finfo(float).eps * np.abs(q).sum(axis=-1))
+        for q in parts))
+
+
+# the fast phase of a combination is averaged in closed form when its kernel
+# frequencies cluster this tightly: |nu_bar| >= _CLUSTER * max |nu_k - nu_j|
+_CLUSTER = 12.0
+
+
+def _horner(coef, z):
+    out = np.full_like(z, coef[-1])
+    for c in coef[-2::-1]:
+        out = out * z + c
+    return out
+
+
+def _series(a, b, c):
+    """Coefficients of 2F1(a, b; c; z) for z <= 1/2, up to the first term
+    whose share of the largest is below 2^-60 there; past it they shrink
+    monotonically, so the remainder is at most twice that term."""
+    coef = [1.0]
+    top = 1.0
+    n = 0
+    while abs(coef[-1]) * 0.5 ** n > 2.0 ** -60 * top:
+        coef.append(coef[-1] * (n + a) * (n + b) / ((n + c) * (n + 1)))
+        top = max(top, abs(coef[-1]))
+        n += 1
+    return coef
+
+
+@lru_cache(maxsize=None)
+def _hyp_mean_series(alpha):
+    """The three series of `_hyp_mean` and the connection constants."""
+    h = 0.5 * alpha
+    return (_series(-h, -h, 1.0), _series(-h, -h, -alpha),
+            _series(1.0 + h, 1.0 + h, 2.0 + alpha),
+            math.gamma(1.0 + alpha) / math.gamma(1.0 + h) ** 2,
+            math.gamma(-1.0 - alpha) / math.gamma(-h) ** 2)
+
+
+def _hyp_mean(alpha, z):
+    """2F1(-h, -h; 1; z), h = alpha/2, for z in [0, 1]: the power series for
+    z <= 1/2, and above it the connection formula to 1 - z,
+
+        K1 2F1(-h, -h; -alpha; 1 - z)
+        + K2 (1 - z)^{1+alpha} 2F1(1+h, 1+h; 2+alpha; 1 - z),
+
+    K1 = Gamma(1+alpha) / Gamma(1+h)^2, K2 = Gamma(-1-alpha) / Gamma(-h)^2.
+    Near alpha = 1 or 2 its two terms cancel, so within 1e-3 of them scipy's
+    hyp2f1 (exact there, but slow near z = 1) takes that branch instead."""
+    low_series, p_series, q_series, k1, k2 = _hyp_mean_series(alpha)
+    out = np.empty_like(z)
+    low = z <= 0.5
+    out[low] = _horner(low_series, z[low])
+    w = 1.0 - z[~low]
+    if min(alpha - 1.0, 2.0 - alpha) < 1e-3:
+        out[~low] = _hyp2f1(-0.5 * alpha, -0.5 * alpha, 1.0, z[~low])
+    else:
+        out[~low] = (k1 * _horner(p_series, w)
+                     + k2 * w ** (1.0 + alpha) * _horner(q_series, w))
+    return out
+
+
+def _fast_phase_mean(a, b, alpha):
+    """Mean over theta of |a + e^{i theta} b|^alpha, elementwise:
+    max^alpha 2F1(-alpha/2, -alpha/2; 1; (min/max)^2) of |a| and |b|."""
+    a = np.abs(a)
+    b = np.abs(b)
+    big = np.maximum(a, b)
+    small = np.minimum(a, b)
+    ratio = np.divide(small, big, out=np.zeros_like(big), where=big > 0.0)
+    return big ** alpha * _hyp_mean(alpha, ratio * ratio)
+
+
+def _two_scale(terms: _Terms) -> dict:
+    """The `OscillationHint` fields of the two-scale tail for a combination
+    whose frequencies nu_k cluster (|nu_bar| >= _CLUSTER times their spread,
+    nu_bar the centre of their range) and which keeps a constant part:
+    ``fast_frequency`` min |nu_k|, the foot of the fast band, and
+    ``fast_mean`` the closed-form mean of |G|^alpha over the fast phase
+    nu_bar x, which carries only the beats nu_k - nu_j.  Empty otherwise."""
+    lo, hi = float(np.min(terms.nu)), float(np.max(terms.nu))
+    nu_bar = 0.5 * (lo + hi)
+    if not 0.0 < _CLUSTER * (hi - lo) <= abs(nu_bar) or _constant_free((terms,)):
+        return {}
+
+    def fast_mean(x):
+        return _fast_phase_mean(*terms.fast_parts(x, nu_bar), terms.alpha)
+    return {"fast_frequency": min(abs(lo), abs(hi)), "fast_mean": fast_mean,
+            "fast_leak": ((hi - lo) / abs(nu_bar)) ** (1.0 + terms.alpha)}
 
 
 def _phase_samples(freqs: Sequence[float]) -> np.ndarray:
@@ -303,7 +411,8 @@ def _raw_norm_integral(spec: ProcessSpec, times, coeffs,
 
     mean_env = _mean_envelope(lambda G: np.abs(G) ** alpha, (terms,),
                               _phase_samples(freqs))
-    hint = OscillationHint(frequencies=freqs, mean_envelope=mean_env)
+    hint = OscillationHint(frequencies=freqs, mean_envelope=mean_env,
+                           **_two_scale(terms))
     try:
         # near H = 1 the head reaches x where x^{-p} overflows; the
         # non-finite value then raises, so a warning would only repeat it

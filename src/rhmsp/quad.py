@@ -32,6 +32,24 @@ tolerance, stopping test and final bound), and the call raises if any row
 fails.  An integrand returning ``(n,)`` runs exactly the arithmetic it would
 run alone.
 
+A combination of nearly equal times has a two-scale integrand: |G|^alpha
+with G(x) = A(x) + e^{i nu_bar x} S(x), a fast phase nu_bar x over a
+constant part A and beats S that vary as slowly as the gaps.  The window
+that suppresses the beats spans 1/gap, so one-scale windowed means cost
+1/gap each.  When the caller supplies the closed-form mean M of |G|^alpha
+over the fast phase (`OscillationHint.fast_mean`), the tail is instead
+
+    int_cutoff^inf g = int g w + int M (1 - w) + int (g - M) (1 - w),
+
+with w the erf ramp of a window sized to the fast band: the middle region
+and the ramp resolve the fast phase, and past the ramp M, which carries
+only the beats, takes the middle and windowed-tail machinery sized to them.
+The last term, what the fast window leaks, is bounded and enters the
+error (see `_two_scale_tail`); if that bound is above half of what the
+certificate allows, the one-scale tail runs instead.  Neither switch is a
+hard cut-off in x: a hard switch to M would leave a boundary term per fast
+harmonic.
+
 The windowed means that one pass of the tail's outer integrand needs (one
 per outer node) are evaluated together: their windows are refined in
 lock-step, so each pass calls the integrand once per ``_GK_BLOCK`` nodes of
@@ -118,6 +136,9 @@ _GK_BLOCK = 1 << 12
 # 179 MB, and groups of 4096 panels to 98.5 MB; 2048 keeps the 96 MB and
 # adds under 5 % integrand calls
 _WINDOW_BATCH = 1 << 11
+# periods of the slowest beat over which a two-scale tail measures the leak
+# of its fast window
+_LEAK_BEATS = 2
 
 
 @dataclass(frozen=True)
@@ -148,14 +169,30 @@ class OscillationHint:
         arrays of tail nodes, so its cost must not grow as nodes x phase
         samples: factor out a common envelope, or stream the nodes in
         bounded blocks.
+    fast_frequency, fast_mean, fast_leak: for an integrand |A + e^{i nu_bar
+        x} S|^alpha whose frequencies cluster, the foot of the fast band (the
+        frequencies below it are the beats of S), the vectorized mean M of
+        the integrand over the fast phase at fixed A and S, in the
+        integrand's shape, and an a-priori relative bound on what a window
+        sized to the fast band leaks of the integrand minus M.  The tail then
+        integrates M past a ramp (see the module docstring).  The three
+        come together; without them the tail is one-scale.  `norms` supplies
+        them when nu_bar is at least 12 times the spread of the kernel
+        frequencies and the combination keeps a constant part.
     """
 
     frequencies: tuple
     mean_envelope: Callable
+    fast_frequency: float = 0.0
+    fast_mean: Optional[Callable] = None
+    fast_leak: float = 0.0
 
     def __post_init__(self):
         if not callable(self.mean_envelope):
             raise TypeError("mean_envelope must be callable")
+        if not ((self.fast_mean is None) == (self.fast_frequency == 0.0)
+                == (self.fast_leak == 0.0)):
+            raise TypeError("fast_frequency, fast_mean and fast_leak come together")
         freqs = tuple(sorted({float(w) for w in self.frequencies if w > 0.0}))
         object.__setattr__(self, "frequencies", freqs)
 
@@ -336,6 +373,31 @@ def _aligned_panel_bounds(a, b, width):
     return np.concatenate([[a], inner, [b]])
 
 
+def _aligned_panel_bounds_many(a, b, width):
+    """`_aligned_panel_bounds` of every window [a[j], b[j]] sharing one
+    ``width``, as a list of arrays equal to the per-window ones bit for bit,
+    built with one pass of array arithmetic instead of one per window."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    k0 = np.floor(a / width).astype(np.int64) + 1
+    k1 = np.ceil(b / width).astype(np.int64) - 1
+    count = np.maximum(k1 - k0 + 1, 0)
+    first = np.cumsum(count) - count
+    owner = np.repeat(np.arange(a.size), count)
+    inner = (k0[owner] + (np.arange(owner.size) - first[owner])) * width
+    keep = ((inner > a[owner] * (1 + 1e-14) + 1e-300)
+            & (inner < b[owner] * (1 - 1e-14)))
+    owner = owner[keep]
+    size = np.bincount(owner, minlength=a.size) + 2
+    start = np.cumsum(size) - size
+    flat = np.empty(int(size.sum()))
+    flat[start] = a
+    flat[start + size - 1] = b
+    rank = np.arange(owner.size) - (np.cumsum(size - 2) - (size - 2))[owner]
+    flat[start[owner] + 1 + rank] = inner[keep]
+    return np.split(flat, start[1:])
+
+
 def _geometric_bounds(a, b, ratio=2.0):
     pts = [a]
     x = a
@@ -438,9 +500,10 @@ def _windowed_means(g, xs, x_lo, sigma, halfwidth, panel_width, rel_tol):
     means = [0.0] * len(xs)
     nev = 0
     pending = []
-    for j, x in enumerate(xs):
-        bounds = _aligned_panel_bounds(max(x - halfwidth, x_lo), x + halfwidth,
-                                       panel_width)
+    centres = np.asarray(xs, dtype=float)
+    for j, bounds in enumerate(_aligned_panel_bounds_many(
+            np.maximum(centres - halfwidth, x_lo), centres + halfwidth,
+            panel_width)):
         steps = _refinement(bounds, rel_tol, None, 18, max_panels=200_000)
         try:
             pending.append((j, steps, next(steps)))
@@ -478,6 +541,19 @@ def _windowed_means(g, xs, x_lo, sigma, halfwidth, panel_width, rel_tol):
     return np.stack(np.broadcast_arrays(*means), axis=-1), nev
 
 
+def _ramp_weight(x2, sigma, halfwidth):
+    """The weight w(y) = 1 - int_{x2}^inf K(x - y) dx of the truncated,
+    normalized Gaussian window K: 1 up to x2 - halfwidth, 0 from x2 +
+    halfwidth on, an erf ramp between."""
+    norm = math.erf(halfwidth / (sigma * math.sqrt(2.0)))
+    den = math.sqrt(2.0) * sigma
+
+    def weight(y):
+        z = np.clip((x2 - y) / den, -halfwidth / den, halfwidth / den)
+        return 1.0 - (norm - _erf(z)) / (2.0 * norm)
+    return weight
+
+
 def _windowed_tail(part, cutoff, sigma, halfwidth, panel_width, s, x1,
                    rel_tol, abs_tol, external_value, inner_rel_tol=1e-10):
     """``int_cutoff^x1 part(x) dx`` via exact window averaging.
@@ -503,12 +579,7 @@ def _windowed_tail(part, cutoff, sigma, halfwidth, panel_width, s, x1,
     peak resident set of an m2 computation by 80 MB.
     """
     x2 = cutoff + halfwidth
-    norm = math.erf(halfwidth / (sigma * math.sqrt(2.0)))
-    den = math.sqrt(2.0) * sigma
-
-    def ramp_weight(y):
-        z = np.clip((x2 - y) / den, -halfwidth / den, halfwidth / den)
-        return 1.0 - (norm - _erf(z)) / (2.0 * norm)
+    ramp_weight = _ramp_weight(x2, sigma, halfwidth)
 
     def ramp_integrand(y):
         return part(y) * ramp_weight(y)
@@ -559,22 +630,168 @@ def _envelope_constant(g, r, s):
     return np.max(np.abs(g(xs)) * xs ** (1.0 + s), axis=-1) * 1.5
 
 
+def _oscillating_tail(part, cutoff, sigma, halfwidth, panel_width, w_osc,
+                      steady, s, cfg, mean_envelope, running, x1_cap):
+    """``int_cutoff^inf part`` as (value, error, evaluations): the windowed
+    tail out to x1 with the window (sigma, halfwidth) sized to the slowest
+    frequency of ``w_osc``, then past x1 the phase-mean envelope, or else a
+    van der Corput bound per component."""
+    if mean_envelope is not None:
+        x1 = max(4.0 * cutoff, min(x1_cap, cutoff * 1e6 ** (1.0 / max(s, 0.2))))
+    else:
+        x1 = x1_cap
+
+    inner_rt = max(min(1e-10, 0.05 * cfg.rel_tol), 0.01 * cfg.rel_tol, 1e-12)
+    tail_val, tail_err, nev, x1 = _windowed_tail(
+        part, cutoff, sigma, halfwidth, panel_width, s, x1, 0.5 * cfg.rel_tol,
+        0.5 * cfg.abs_tol, running, inner_rel_tol=inner_rt)
+    # window suppression residual: bounded by the kernel FT at w_min
+    supp = math.exp(-0.5 * (w_osc[0] * sigma) ** 2)
+    tail_err += supp * abs(tail_val) * 10.0 + supp * cfg.abs_tol
+
+    # beyond x1
+    if mean_envelope is not None:
+        def outer2(u):
+            u = np.atleast_1d(u)
+            # a tiny s overflows x; the non-finite result then raises
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = x1 * u ** (-1.0 / s)
+                vals = np.asarray(mean_envelope(x), dtype=float)
+                return vals * (x1 / s) * u ** (-1.0 - 1.0 / s)
+
+        ub2 = np.geomspace(1e-6, 1.0, 7)
+        tv2, te2, n = _adaptive_panels(outer2, ub2, 0.5 * cfg.rel_tol,
+                                       0.5 * cfg.abs_tol, 14,
+                                       external_value=running + tail_val)
+        nev += n
+        tail_val += tv2
+        tail_err += te2 + 1e-6 * abs(tv2)  # residual weight below u=1e-6
+    else:
+        # each oscillating component is bounded van der Corput style by
+        # env(x1)/w; one that does not oscillate by its power-law tail
+        c_env = _envelope_constant(part, x1, s)
+        nev += _BRACKET.size
+        tail_err += 2.0 * c_env * x1 ** (-1.0 - s) * sum(1.0 / w for w in w_osc)
+        if steady:
+            tail_err += c_env * x1 ** (-s) / s
+    return tail_val, tail_err, nev
+
+
+def _leak_ratio(g, fast_mean, lo, span, sigma, halfwidth, panel_width,
+                inner_rel_tol):
+    """Sum |(g - M) * K| / Sum M over windowed means at spacing 2 sigma
+    across [lo, lo + span], per row, with (evaluations): the share of the
+    fast-phase mean M that the window K = (sigma, halfwidth) lets through
+    of g - M, in L1.  K averages the fast phase out, so what is left of
+    g - M is what the fast window leaks; it is at least sigma wide, so the
+    spacing resolves it."""
+    step = 2.0 * sigma
+    xs = lo + halfwidth + step * np.arange(max(1, math.ceil(span / step)))
+    leak, nev = _windowed_means(lambda y: g(y) - fast_mean(y), xs, lo, sigma,
+                                halfwidth, panel_width, inner_rel_tol)
+    scale = fast_mean(xs).sum(axis=-1)
+    leak = np.abs(leak).sum(axis=-1)
+    # a row that is zero throughout has M = 0 and leaks nothing
+    return np.divide(leak, scale, out=np.zeros_like(leak), where=scale > 0.0), nev
+
+
+def _two_scale_tail(g, cutoff, sigma, halfwidth, panel_width, w_fast, slow,
+                    s, cfg, mean_envelope, running, x1_cap, fast_mean,
+                    fast_leak):
+    """``int_cutoff^inf g`` as (value, error, evaluations) for a g whose fast
+    phase has the closed-form mean ``fast_mean`` (M), by the split
+
+        int_cutoff^inf g = int g w + int M (1 - w) + int (g - M) (1 - w),
+
+    w the erf ramp of the window (sigma, halfwidth) sized to the fast band,
+    whose foot is ``w_fast``.  The first term lives on the ramp [cutoff,
+    cutoff + 2 halfwidth] and is taken together with the second there on
+    fast panels; past the ramp M alone carries only the ``slow`` beat
+    frequencies and goes through a middle region and `_oscillating_tail`
+    sized to them, with ``mean_envelope`` past x1 (g and M have the same
+    Weyl mean).
+
+    The third term is what the fast window leaks: the harmonics of the fast
+    phase whose beat sidebands reach frequency 0, chiefly where |g| dips
+    within a fast period of a zero.  It is bounded, not integrated.  Its
+    a-priori bound is ``fast_leak`` times the tail (the caller's
+    (Delta / nu_bar)^{1 + alpha}, the width of such a dip; the leak measured
+    against period sums was at most 0.31 of it).  Where that is above a
+    tenth of a row's tolerance the bound is measured instead: twice
+    `_leak_ratio` over the first `_LEAK_BEATS` periods of the slowest beat,
+    times the tail.  None when a row's measured bound is above twice its
+    tolerance, half of what the certificate allows: the caller then takes
+    the one-scale tail."""
+    x2 = cutoff + halfwidth
+    r_end = x2 + halfwidth
+    weight = _ramp_weight(x2, sigma, halfwidth)
+
+    def ramp(y):
+        wy = weight(y)
+        return g(y) * wy + fast_mean(y) * (1.0 - wy)
+
+    val, err, nev = _adaptive_panels(
+        ramp, _aligned_panel_bounds(cutoff, r_end, panel_width),
+        0.5 * cfg.rel_tol, 0.5 * cfg.abs_tol, 24, external_value=running)
+
+    # M past the ramp: a middle region and a tail sized to the beats
+    w_min, w_beat = slow[0], slow[-1]
+    sigma_s = _window_sigma(cfg.rel_tol) / w_min
+    p_beat = 2.0 * math.pi / w_beat
+    panel_s = p_beat if cfg.rel_tol >= 1e-6 else 0.5 * p_beat
+    cutoff_s = max(r_end, 8.0 * 2.0 * math.pi / w_min)
+    mv, me, n = _adaptive_panels(
+        fast_mean, _aligned_panel_bounds(r_end, cutoff_s, panel_s),
+        0.25 * cfg.rel_tol, 0.25 * cfg.abs_tol, _MAX_DEPTH,
+        external_value=running + val)
+    nev += n
+    val += mv
+    err += me
+    tv, te, n = _oscillating_tail(fast_mean, cutoff_s, sigma_s, 6.5 * sigma_s,
+                                  panel_s, slow, False, s, cfg, mean_envelope,
+                                  running + val, x1_cap)
+    nev += n
+    val += tv
+    err += te
+
+    # what the fast window lets through of g - M
+    tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(running + val))
+    leak = fast_leak * np.abs(val)
+    if np.any(leak > 0.1 * tol):
+        ratio, n = _leak_ratio(g, fast_mean, r_end,
+                               _LEAK_BEATS * 2.0 * math.pi / w_min,
+                               sigma, halfwidth, panel_width,
+                               0.1 * cfg.rel_tol)
+        nev += n
+        leak = 2.0 * ratio * np.abs(val)
+        if np.any(leak > 2.0 * tol):
+            return None
+    supp = math.exp(-0.5 * (w_fast * sigma) ** 2)
+    err += leak + supp * abs(val) * 10.0 + supp * cfg.abs_tol
+    return val, err, nev
+
+
 def _half_line(g, s, singular_exponent, cfg: QuadratureConfig,
-               freqs: Sequence[float], mean_envelope=None):
+               freqs: Sequence[float], mean_envelope=None, fast=None):
     """``int_0^inf g(x) dx`` as (value, error, evaluations) for real or
     complex g with ``|g(x)| = O(x**-singular_exponent)`` as x -> 0+ and
     ``O(x**-(s + 1))`` as x -> inf.  ``freqs`` are the frequencies of g's
-    components, below 1e-14 for one that does not oscillate.  For a stack of
-    rows, value and error hold one entry per row."""
+    components, below 1e-14 for one that does not oscillate.  ``fast`` is
+    None or (fast frequency, fast-phase mean, a-priori leak): the
+    frequencies below the fast frequency are then beats, and the tail is
+    `_two_scale_tail`.  For a
+    stack of rows, value and error hold one entry per row."""
     w_osc = sorted({float(w) for w in freqs if w > 1e-14})
     steady = any(w <= 1e-14 for w in freqs)
     nev = 0
+    slow = [] if fast is None else [w for w in w_osc if w < fast[0]]
 
     if w_osc:
-        w_min, w_max = w_osc[0], w_osc[-1]
+        w_min, w_max = w_osc[len(slow)], w_osc[-1]
         # the window must suppress the SLOWEST component too (beats between
         # close frequencies survive any narrower window and force the outer
-        # integral to resolve them out to x1)
+        # integral to resolve them out to x1); a two-scale tail leaves the
+        # beats to the fast-phase mean, so its window suppresses the fast band
         sigma = _window_sigma(cfg.rel_tol) / w_min
         halfwidth = 6.5 * sigma
         p_fast = 2.0 * math.pi / w_max
@@ -614,48 +831,19 @@ def _half_line(g, s, singular_exponent, cfg: QuadratureConfig,
     tail_err = 0.0
     if w_osc:
         x1_cap = 1e12 / max(w_max, 1e-12)
-        if mean_envelope is not None:
-            x1 = max(4.0 * cutoff, min(x1_cap, cutoff * 1e6 ** (1.0 / max(s, 0.2))))
+        if slow:
+            tail = _two_scale_tail(g, cutoff, sigma, halfwidth, panel_width,
+                                   w_min, slow, s, cfg, mean_envelope,
+                                   running, x1_cap, fast[1], fast[2])
+            if tail is None:
+                return _half_line(g, s, singular_exponent, cfg, freqs,
+                                  mean_envelope)
         else:
-            x1 = x1_cap
-
-        inner_rt = max(min(1e-10, 0.05 * cfg.rel_tol), 0.01 * cfg.rel_tol, 1e-12)
-        tv, te, n, x1 = _windowed_tail(g, cutoff, sigma, halfwidth,
-                                       panel_width, s, x1,
-                                       0.5 * cfg.rel_tol, 0.5 * cfg.abs_tol,
-                                       running, inner_rel_tol=inner_rt)
+            tail = _oscillating_tail(g, cutoff, sigma, halfwidth, panel_width,
+                                     w_osc, steady, s, cfg, mean_envelope,
+                                     running, x1_cap)
+        tail_val, tail_err, n = tail
         nev += n
-        tail_val += tv
-        tail_err += te
-        # window suppression residual: bounded by the kernel FT at w_min
-        supp = math.exp(-0.5 * (w_min * sigma) ** 2)
-        tail_err += supp * abs(tv) * 10.0 + supp * cfg.abs_tol
-
-        # beyond x1
-        if mean_envelope is not None:
-            def outer2(u):
-                u = np.atleast_1d(u)
-                # a tiny s overflows x; the non-finite result then raises
-                with np.errstate(over="ignore", invalid="ignore"):
-                    x = x1 * u ** (-1.0 / s)
-                    vals = np.asarray(mean_envelope(x), dtype=float)
-                    return vals * (x1 / s) * u ** (-1.0 - 1.0 / s)
-
-            ub2 = np.geomspace(1e-6, 1.0, 7)
-            tv2, te2, n = _adaptive_panels(outer2, ub2, 0.5 * cfg.rel_tol,
-                                           0.5 * cfg.abs_tol, 14,
-                                           external_value=running + tail_val)
-            nev += n
-            tail_val += tv2
-            tail_err += te2 + 1e-6 * abs(tv2)  # residual weight below u=1e-6
-        else:
-            # each oscillating component is bounded van der Corput style by
-            # env(x1)/w; one that does not oscillate by its power-law tail
-            c_env = _envelope_constant(g, x1, s)
-            nev += _BRACKET.size
-            tail_err += 2.0 * c_env * x1 ** (-1.0 - s) * sum(1.0 / w for w in w_osc)
-            if steady:
-                tail_err += c_env * x1 ** (-s) / s
     else:
         # grow the cutoff until the power-law bound is negligible
         r = cutoff
@@ -694,10 +882,13 @@ def integrate_even_singular(g, decay_exponent, singular_exponent,
         raise ValueError("decay_exponent must be positive")
     if not singular_exponent < 1:
         raise ValueError("singular_exponent must be < 1 for integrability")
-    freqs, env = ((), None) if oscillation is None else (
-        oscillation.frequencies, oscillation.mean_envelope)
+    freqs, env, fast = ((), None, None) if oscillation is None else (
+        oscillation.frequencies, oscillation.mean_envelope,
+        oscillation.fast_mean and (oscillation.fast_frequency,
+                                   oscillation.fast_mean,
+                                   oscillation.fast_leak))
     half, half_err, nev = _half_line(_guarded(g), s, singular_exponent, cfg,
-                                     freqs, env)
+                                     freqs, env, fast)
     value = 2.0 * half
     error = 2.0 * half_err
     tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(value))

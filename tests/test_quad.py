@@ -24,6 +24,16 @@ def test_hint_requires_envelope():
         OscillationHint(frequencies=(1.0,), mean_envelope=None)
 
 
+@pytest.mark.parametrize("fields", [
+    {"fast_frequency": 1.0}, {"fast_mean": np.abs}, {"fast_leak": 1e-3},
+    {"fast_frequency": 1.0, "fast_mean": np.abs}])
+def test_hint_fast_fields_come_together(fields):
+    with pytest.raises(TypeError):
+        OscillationHint(frequencies=(1.0,), mean_envelope=np.abs, **fields)
+    OscillationHint(frequencies=(1.0,), mean_envelope=np.abs, fast_frequency=1.0,
+                    fast_mean=np.abs, fast_leak=1e-3)
+
+
 # ---------------------------------------------------------------------------
 # integrate_even_singular on closed forms
 # ---------------------------------------------------------------------------
@@ -125,6 +135,22 @@ def _cusp_rows(x):
 # window layout of a tail pass at rel_tol 1e-8 for frequency 3: x_lo = 40
 _SIGMA = quad._window_sigma(1e-8) / 3.0
 _WINDOW = (40.0, _SIGMA, 6.5 * _SIGMA, math.pi / 3.0)
+
+
+def test_window_panel_bounds_are_each_windows_own():
+    # clipped at x_lo, empty (x + hw <= x_lo), many panels, and inside one
+    # panel or inverted; the group builder equals the per-window one bit for bit
+    x_lo, sigma, hw, width = _WINDOW
+    xs = np.array([41.0, x_lo - hw - 1.0, 60.0, 90.0, 47.3, 1e3 + 1e-9])
+    lo = np.maximum(xs - hw, x_lo)
+    hi = xs + hw
+    cases = [(lo, hi, width), (np.array([1.0, 3.0]), np.array([1.5, 2.0]), 10.0)]
+    for a, b, w in cases:
+        got = quad._aligned_panel_bounds_many(a, b, w)
+        assert len(got) == a.size
+        for j, bounds in enumerate(got):
+            want = quad._aligned_panel_bounds(a[j], b[j], w)
+            assert bounds.dtype == want.dtype and np.array_equal(bounds, want)
 
 
 @pytest.mark.parametrize("g", [_cusps, _cusp_rows], ids=["scalar", "rows"])

@@ -22,11 +22,13 @@ from scipy.special import gamma as _gamma_fn
 from .model import HurstFunction, KernelVariant, ProcessSpec, StabilityIndex
 from .norms import (
     OptimizerConfig,
+    _Terms,
     _raw_norm_integral,
     _span_distance,
+    _terms_integral,
     increment_norm,
 )
-from .quad import OscillationHint, QuadratureConfig, integrate_even_singular, oscillatory_ft
+from .quad import QuadratureConfig, oscillatory_ft
 
 __all__ = [
     "CheckReport",
@@ -161,9 +163,12 @@ def holder_slope(ensemble, deltas: Sequence[float],
 # localizability: exact log-cf comparison of rescaled increments
 # ---------------------------------------------------------------------------
 
+# the (u, lambda) grid of `localizability_error`
+_LOC_U_GRID = (0.25, 0.5, 1.0)
+_LOC_LAMBDA_GRID = (-2.0, -1.0, 1.0, 2.0)
+
+
 def localizability_error(spec: ProcessSpec, t: float, delta: float,
-                         u_grid: Sequence[float] = (0.25, 0.5, 1.0),
-                         lambda_grid: Sequence[float] = (-2.0, -1.0, 1.0, 2.0),
                          cfg: QuadratureConfig = QuadratureConfig(),
                          threshold: float = 0.05) -> CheckReport:
     """max over (lambda, u) of the difference between -log cf of the rescaled
@@ -175,16 +180,13 @@ def localizability_error(spec: ProcessSpec, t: float, delta: float,
     """
     t = float(t)
     delta = float(delta)
-    u_grid = [float(u) for u in u_grid]
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    if any(u <= 0.0 for u in u_grid):
-        raise ValueError("u grid must be positive")
-    if t + delta * max(u_grid) > spec.horizon:
+    if t + delta * max(_LOC_U_GRID) > spec.horizon:
         raise ValueError("t + delta*max(u) leaves the horizon")
     alpha = spec.alpha.alpha
     h_t = float(spec.hurst(t))
-    loc_T = max(u_grid)
+    loc_T = max(_LOC_U_GRID)
     local_spec = ProcessSpec(
         alpha=spec.alpha,
         hurst=HurstFunction(form="const", params=(h_t,), horizon=loc_T),
@@ -192,8 +194,8 @@ def localizability_error(spec: ProcessSpec, t: float, delta: float,
 
     errs = {}
     worst = 0.0
-    lam_pows = sorted({abs(l) ** alpha for l in lambda_grid})
-    for u in u_grid:
+    lam_pows = sorted({abs(l) ** alpha for l in _LOC_LAMBDA_GRID})
+    for u in _LOC_U_GRID:
         lhs = delta ** (-alpha * h_t) * _raw_norm_integral(
             spec, (t, t + delta * u), (-1.0, 1.0), cfg)
         rhs = _raw_norm_integral(local_spec, (u,), (1.0,), cfg)
@@ -203,7 +205,7 @@ def localizability_error(spec: ProcessSpec, t: float, delta: float,
     params = {
         "spec": spec.to_config(),
         "t": t, "delta": delta,
-        "u_grid": u_grid, "lambda_grid": [float(l) for l in lambda_grid],
+        "u_grid": list(_LOC_U_GRID), "lambda_grid": list(_LOC_LAMBDA_GRID),
         "h_t": h_t, "rel_tol": cfg.rel_tol,
         "per_u_error": errs,
     }
@@ -218,38 +220,25 @@ def localizability_error(spec: ProcessSpec, t: float, delta: float,
 def _hurst_difference_norm(alpha: float, t: float, h1: float, h2: float,
                            cfg: QuadratureConfig) -> float:
     """||Z^{H1}(t) - Z^{H2}(t)||_alpha: same time, two envelope exponents."""
-    p1 = h1 + 1.0 / alpha
-    p2 = h2 + 1.0 / alpha
+    terms = _Terms(lam=np.array([1.0, -1.0]),
+                   p=np.array([h1, h2]) + 1.0 / alpha,
+                   nu=np.array([t, t]), c1=np.ones(2, dtype=complex), alpha=alpha)
+    return _terms_integral(terms, cfg) ** (1.0 / alpha)
 
-    def g(x):
-        x = np.asarray(x, dtype=float)
-        return ((2.0 - 2.0 * np.cos(t * x)) ** (alpha / 2.0)
-                * np.abs(x ** (-p1) - x ** (-p2)) ** alpha)
 
-    # the oscillation factor |e^{itx}-1|^alpha has exact mean over one period
-    phases = (np.arange(4096) + 0.5) * (2.0 * math.pi / 4096)
-    osc_mean = float(np.mean((2.0 - 2.0 * np.cos(phases)) ** (alpha / 2.0)))
-
-    def mean_env(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return osc_mean * np.abs(x ** (-p1) - x ** (-p2)) ** alpha
-
-    hint = OscillationHint(frequencies=(abs(t),), mean_envelope=mean_env)
-    decay = alpha * min(h1, h2)
-    singular = alpha * (max(p1, p2) - 1.0)
-    res = integrate_even_singular(g, decay, singular, cfg, oscillation=hint)
-    return res.value ** (1.0 / alpha)
+# the grids of `lemma_sweeps`: the reference time, the number of Hurst
+# values, the dyadic gap exponents of the flatness sweep, the base times and
+# gap exponents of the sandwich, and the flatness slack in units of rel_tol
+_T_REF = 1.0
+_HURST_POINTS = 5
+_FLAT_GAP_EXPONENTS = range(2, 9)
+_SANDWICH_BASES = (0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.6, 0.65, 0.7, 0.75)
+_SANDWICH_GAP_EXPONENTS = (2, 3, 4, 5, 6)
+_FLAT_SLACK = 10.0
 
 
 def lemma_sweeps(spec: ProcessSpec,
                  cfg: QuadratureConfig = QuadratureConfig(rel_tol=1e-6),
-                 t_ref: float = 1.0,
-                 hurst_points: int = 5,
-                 flat_gap_exponents: Sequence[int] = range(2, 13),
-                 sandwich_bases: Sequence[float] = (0.3, 0.35, 0.4, 0.45, 0.5,
-                                                    0.55, 0.6, 0.65, 0.7, 0.75),
-                 sandwich_gap_exponents: Sequence[int] = (2, 3, 4, 5, 6),
-                 rel_slack: float = 10.0,
                  ) -> Tuple[CheckReport, CheckReport, CheckReport]:
     """The three norm-module sweeps as CheckReports:
 
@@ -268,45 +257,45 @@ def lemma_sweeps(spec: ProcessSpec,
         lo, hi = spec.hurst.h_hat, spec.hurst.h_check
     else:
         lo, hi = 0.3, 0.7
-    hs = np.linspace(lo, hi, hurst_points)
+    hs = np.linspace(lo, hi, _HURST_POINTS)
     sup_ratio = 0.0
     pair_count = 0
-    for i in range(hurst_points):
-        for j in range(i + 1, hurst_points):
-            nrm = _hurst_difference_norm(alpha, t_ref, hs[i], hs[j], cfg)
+    for i in range(_HURST_POINTS):
+        for j in range(i + 1, _HURST_POINTS):
+            nrm = _hurst_difference_norm(alpha, _T_REF, hs[i], hs[j], cfg)
             sup_ratio = max(sup_ratio, nrm / abs(hs[j] - hs[i]))
             pair_count += 1
     # finiteness is the claim; the threshold is a generous desk-scale cap
     rep1 = CheckReport(
         "hurst_difference_bound",
-        {"alpha": alpha, "t": t_ref, "h_grid": [float(h) for h in hs],
+        {"alpha": alpha, "t": _T_REF, "h_grid": [float(h) for h in hs],
          "pairs": pair_count, "sup_ratio": sup_ratio},
         sup_ratio, 100.0)
 
     # --- sweep 2: constant-H flatness ---------------------------------------
-    h_flat = float(spec.hurst(t_ref))
-    flat_T = max(spec.horizon, t_ref + 0.5)
+    h_flat = float(spec.hurst(_T_REF))
+    flat_T = max(spec.horizon, _T_REF + 0.5)
     flat_spec = ProcessSpec(
         alpha=spec.alpha,
         hurst=HurstFunction(form="const", params=(h_flat,), horizon=flat_T),
         kernel=spec.kernel, horizon=flat_T)
     ratios = []
-    for k in flat_gap_exponents:
+    for k in _FLAT_GAP_EXPONENTS:
         gap = 2.0 ** (-k)
-        ratios.append(increment_norm(flat_spec, t_ref + gap, t_ref, cfg)
+        ratios.append(increment_norm(flat_spec, _T_REF + gap, _T_REF, cfg)
                       / gap ** h_flat)
     ratios = np.asarray(ratios)
     rep2 = CheckReport(
         "selfsimilar_flatness",
-        {"alpha": alpha, "h": h_flat, "t": t_ref,
-         "gap_exponents": [int(k) for k in flat_gap_exponents],
+        {"alpha": alpha, "h": h_flat, "t": _T_REF,
+         "gap_exponents": [int(k) for k in _FLAT_GAP_EXPONENTS],
          "ratios": [float(r) for r in ratios], "rel_tol": cfg.rel_tol},
-        float(np.max(ratios) / np.min(ratios)), 1.0 + rel_slack * cfg.rel_tol)
+        float(np.max(ratios) / np.min(ratios)), 1.0 + _FLAT_SLACK * cfg.rel_tol)
 
     # --- sweep 3: two-sided sandwich with calibrated constants -------------
     rows = []
-    for s in sandwich_bases:
-        for k in sandwich_gap_exponents:
+    for s in _SANDWICH_BASES:
+        for k in _SANDWICH_GAP_EXPONENTS:
             gap = 2.0 ** (-k)
             t1 = float(s) + gap
             if t1 > spec.horizon:

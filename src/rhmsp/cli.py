@@ -26,9 +26,6 @@ from .quad import QuadratureConfig, QuadratureError
 
 __all__ = ["run", "main"]
 
-COMMANDS = ("simulate", "cf-check", "norm", "lnd", "localize", "localtime",
-            "ft-check", "holder", "verify-all")
-
 DEFAULT_CONFIG = {
     "alpha": "1.5",
     "hurst": "const:0.5",
@@ -391,6 +388,10 @@ def cmd_localtime(args) -> int:
     if not on_grid.size:
         raise CliError("--t must lie on the grid")
     t = float(grid[on_grid[0]])   # the grid point itself, which the histogram needs
+    hs = parse_floats(args.m2, "m2 window") if args.m2 else []
+    if not all(h > 0.0 and t + h <= spec.horizon for h in hs):
+        raise CliError("--m2 widths need h > 0 and t + h <= horizon %g"
+                       % spec.horizon)
     reports = _localtime_checks(spec, grid, t, args.bins, args.terms, seed,
                                 args.residual_threshold, out,
                                 {**cfg, "seed": str(seed)})
@@ -398,7 +399,6 @@ def cmd_localtime(args) -> int:
         emit(report)
     ok = all(r.passed for r in reports)
     if args.m2:
-        hs = parse_floats(args.m2, "m2 window list")
         rows = ["h,m2"]
         for hwin in hs:
             m2 = localtime.local_time_second_moment(spec, t, hwin, args.x)
@@ -631,6 +631,7 @@ _DISPATCH = {
     "holder": cmd_holder,
     "verify-all": cmd_verify_all,
 }
+COMMANDS = tuple(_DISPATCH)
 
 
 def run(argv: Sequence[str]) -> int:

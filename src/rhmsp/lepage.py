@@ -36,6 +36,7 @@ __all__ = [
     "empirical_cf",
     "truncation_diagnostic",
     "bias_budget",
+    "ensemble_to_csv",
 ]
 
 

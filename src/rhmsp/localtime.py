@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy import integrate as _sciint
@@ -107,21 +107,19 @@ class LocalTimeBudgetError(RuntimeError):
 
 
 def occupation_histogram(path: SamplePath, t: float, bin_count: int,
-                         start: float = 0.0,
-                         edges: Optional[np.ndarray] = None) -> LocalTimeEstimate:
+                         start: float = 0.0) -> LocalTimeEstimate:
     """Histogram occupation-density estimate of the path over [start, t].
 
     Every step [t_i, t_{i+1}) with start <= t_i < t adds its length to the
-    bin of X(t_i); values are mass / binWidth.  Without `edges`, the
-    bin_count bins have width span / (bin_count - 1) and the first is centred
-    on the path's minimum, so both extremes sit half a bin inside and a
-    round-off change of the path cannot move them across an edge.  When
-    `edges` is given the supplied uniform edges are used (shared-edge
-    additivity studies).  A value x goes to bin floor((x - edges[0]) / width).
+    bin of X(t_i); values are mass / binWidth.  The bin_count bins have
+    width span / (bin_count - 1) and the first is centred on the path's
+    minimum, so both extremes sit half a bin inside and a round-off change
+    of the path cannot move them across an edge.  A value x goes to bin
+    floor((x - edges[0]) / width).
     """
     t = float(t)
     start = float(start)
-    if bin_count < 10 and edges is None:
+    if bin_count < 10:
         raise ValueError("binCount must be >= 10")
     times = np.asarray(path.times)
     if t not in path.times:
@@ -136,19 +134,15 @@ def occupation_histogram(path: SamplePath, t: float, bin_count: int,
     xs = path.values[idx]
     dt_typ = float(np.median(dts))
 
-    if edges is not None:
-        edges = np.asarray(edges, dtype=float)
-        width = float(edges[1] - edges[0])
+    lo, hi = float(np.min(xs)), float(np.max(xs))
+    span = hi - lo
+    if span == 0.0:
+        width = 1.0
+        edges = np.array([lo - 0.5, lo + 0.5])
     else:
-        lo, hi = float(np.min(xs)), float(np.max(xs))
-        span = hi - lo
-        if span == 0.0:
-            width = 1.0
-            edges = np.array([lo - 0.5, lo + 0.5])
-        else:
-            # the extremes sit half a bin inside, so no sample lies on an edge
-            width = span / (bin_count - 1)
-            edges = (lo - 0.5 * width) + width * np.arange(bin_count + 1)
+        # the extremes sit half a bin inside, so no sample lies on an edge
+        width = span / (bin_count - 1)
+        edges = (lo - 0.5 * width) + width * np.arange(bin_count + 1)
     nbins = edges.size - 1
     pos = np.clip(np.floor((xs - edges[0]) / width).astype(int), 0, nbins - 1)
     mass = np.bincount(pos, weights=dts, minlength=nbins)

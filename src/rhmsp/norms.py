@@ -21,7 +21,7 @@ from scipy import integrate as _sciint
 from scipy import optimize as _sciopt
 from scipy.special import hyp2f1 as _hyp2f1
 
-from .model import KernelVariant, ProcessSpec
+from .model import KernelVariant, ProcessSpec, kernel_rotation
 from .quad import (
     OscillationHint,
     QuadratureConfig,
@@ -102,18 +102,19 @@ class OptimizerError(RuntimeError):
 
 @dataclass(frozen=True)
 class _Terms:
-    """Sum_k lam_k x^{-p_k} (c1_k e^{i nu_k x} + c0_k) for x > 0.
+    """Sum_k lam_k x^{-p_k} c1_k (e^{i nu_k x} - 1) for x > 0.
 
-    ``lam`` is one coefficient vector, or a stack of rows (rows, terms) of
-    combinations on the same times; the evaluations then gain a leading row
-    axis, and each term's x^{-p_k} and e^{i nu_k x} are computed once for
-    every row."""
+    Every kernel variant has this form on the positive half-line, with its
+    rotation in c1; forming e^{i nu x} - 1 before the rotation keeps the
+    digits that c1 e^{i nu x} - c1 would cancel at small x.  ``lam`` is one
+    coefficient vector, or a stack of rows (rows, terms) of combinations on
+    the same times; the evaluations then gain a leading row axis, and each
+    term's x^{-p_k} and e^{i nu_k x} are computed once for every row."""
 
     lam: np.ndarray       # real coefficients
     p: np.ndarray         # envelope exponents H(t_k) + 1/alpha
     nu: np.ndarray        # signed oscillation frequencies
-    c1: np.ndarray        # complex factor on the oscillating part
-    c0: np.ndarray        # complex constant part
+    c1: np.ndarray        # complex rotation of each term
     alpha: float
 
     def combo(self, x):
@@ -121,25 +122,25 @@ class _Terms:
         out = np.zeros(self.lam.shape[:-1] + x.shape, dtype=complex)
         for k in range(self.p.size):
             out += (self.lam[..., k, None] * x ** (-self.p[k])
-                    * (self.c1[k] * np.exp(1j * self.nu[k] * x) + self.c0[k]))
+                    * (self.c1[k] * (np.exp(1j * self.nu[k] * x) - 1.0)))
         return out
 
     def fast_parts(self, x, nu_bar):
         """(A, S) with combo(x) = A + e^{i nu_bar x} S: the constant part
-        A = Sum lam_k c0_k x^{-p_k} and the beats S = Sum lam_k c1_k x^{-p_k}
+        A = -Sum lam_k c1_k x^{-p_k} and the beats S = Sum lam_k c1_k x^{-p_k}
         e^{i (nu_k - nu_bar) x}."""
         x = np.asarray(x, dtype=float)
         a = np.zeros(self.lam.shape[:-1] + x.shape, dtype=complex)
         b = np.zeros_like(a)
         for k in range(self.p.size):
             env = self.lam[..., k, None] * x ** (-self.p[k])
-            a += env * self.c0[k]
+            a -= env * self.c1[k]
             b += env * (self.c1[k] * np.exp(1j * (self.nu[k] - nu_bar) * x))
         return a, b
 
     def phase_factors(self, y):
-        """c1_k e^{i nu_k y} + c0_k at the phase samples y, one row per term."""
-        return np.array([self.c1[k] * np.exp(1j * self.nu[k] * y) + self.c0[k]
+        """c1_k (e^{i nu_k y} - 1) at the phase samples y, one row per term."""
+        return np.array([self.c1[k] * (np.exp(1j * self.nu[k] * y) - 1.0)
                          for k in range(self.p.size)])
 
     def combo_frozen(self, x, osc):
@@ -154,10 +155,14 @@ class _Terms:
 def _build_terms(spec: ProcessSpec, times, coeffs) -> Optional[_Terms]:
     """The terms of Sum_k coeffs_k f(t_k) on the positive half-line, or of
     each row of a coefficient stack (rows, times).  A time whose
-    coefficients are all zero, or t = 0, has no term; None if none is left."""
+    coefficients are all zero, or t = 0, has no term; None if none is left.
+
+    On x > 0, X and F1 are rotation * (e^{itx} - 1) x^{-p}, the rotation
+    of `kernel_rotation` (1 for X); Y is rotation * (1 - e^{-itx}) x^{-p},
+    so it takes c1 = -rotation and nu = -t."""
     alpha = spec.alpha.alpha
     coeffs = np.asarray(coeffs, dtype=float)
-    lam, p, nu, c1, c0 = [], [], [], [], []
+    lam, p, nu, c1 = [], [], [], []
     for k, t in enumerate(times):
         t = float(t)
         c = coeffs[..., k]
@@ -166,24 +171,16 @@ def _build_terms(spec: ProcessSpec, times, coeffs) -> Optional[_Terms]:
         if not 0.0 <= t <= spec.horizon:
             raise ValueError("time %g outside horizon [0, %g]" % (t, spec.horizon))
         pk = spec.hurst(t) + 1.0 / alpha
-        if spec.kernel is KernelVariant.X:
-            ck1, ck0, nuk = 1.0 + 0.0j, -1.0 + 0.0j, t
-        elif spec.kernel is KernelVariant.Y:
-            rot = np.exp(1j * math.pi * pk / 2.0)
-            ck1, ck0, nuk = -rot, rot, -t
-        else:  # F1
-            rot = np.exp(-1j * math.pi * pk / 2.0)
-            ck1, ck0, nuk = rot, -rot, t
+        rot = kernel_rotation(spec.kernel, pk, 1.0)
+        sign = -1.0 if spec.kernel is KernelVariant.Y else 1.0
         lam.append(c)
         p.append(pk)
-        nu.append(nuk)
-        c1.append(ck1)
-        c0.append(ck0)
+        nu.append(sign * t)
+        c1.append(sign * (1.0 if rot is None else rot))
     if not lam:
         return None
     return _Terms(lam=np.stack(lam, axis=-1), p=np.asarray(p), nu=np.asarray(nu),
-                  c1=np.asarray(c1, dtype=complex),
-                  c0=np.asarray(c0, dtype=complex), alpha=alpha)
+                  c1=np.asarray(c1, dtype=complex), alpha=alpha)
 
 
 def _frequency_set(*combos: _Terms) -> Tuple[float, ...]:
@@ -193,11 +190,11 @@ def _frequency_set(*combos: _Terms) -> Tuple[float, ...]:
     constant parts.
 
     The |nu_k| are left out when every exponent p_k of every combination is
-    equal (constant H) and each combination's constant part Sum lam_k c0_k
-    vanishes to round-off, |Sum lam_k c0_k| <= 8 eps Sum |lam_k c0_k|.  Then
-    every combination is c1 x^{-p} Sum lam_k e^{i nu_k x}, and both integrands
-    carry only the beats.  Const-H increments and increment directions are
-    such combinations; unit vectors f_j are not."""
+    equal (constant H) and each combination's constant part -Sum lam_k c1_k
+    vanishes to round-off, |Sum lam_k c1_k| <= 8 eps Sum |lam_k c1_k|.  Then
+    every combination is x^{-p} Sum lam_k c1_k e^{i nu_k x}, and both
+    integrands carry only the beats.  Const-H increments and increment
+    directions are such combinations; unit vectors f_j are not."""
     nu = np.concatenate([c.nu for c in combos])
     vals = {abs(nu[k] - nu[j]) for k in range(nu.size) for j in range(k)}
     if not _constant_free(combos):
@@ -206,10 +203,10 @@ def _frequency_set(*combos: _Terms) -> Tuple[float, ...]:
 
 
 def _constant_free(combos) -> bool:
-    """Every exponent equal and every constant part Sum lam_k c0_k zero to
+    """Every exponent equal and every constant part -Sum lam_k c1_k zero to
     round-off (see `_frequency_set`)."""
     p = np.concatenate([c.p for c in combos])
-    parts = [c.lam * c.c0 for c in combos]
+    parts = [c.lam * c.c1 for c in combos]
     return bool(np.all(p == p[0]) and all(
         np.all(np.abs(q.sum(axis=-1)) <= 8.0 * np.finfo(float).eps * np.abs(q).sum(axis=-1))
         for q in parts))
@@ -401,6 +398,17 @@ def _raw_norm_integral(spec: ProcessSpec, times, coeffs,
     terms = _build_terms(spec, times, coeffs)
     if terms is None:
         return np.zeros(np.shape(coeffs)[:-1]) if np.ndim(coeffs) > 1 else 0.0
+    try:
+        return _terms_integral(terms, cfg)
+    except QuadratureError as exc:
+        raise QuadratureError(
+            "scale_norm quadrature failed for times=%s coeffs=%s: %s"
+            % (tuple(times), tuple(np.asarray(coeffs).tolist()), exc),
+            value=exc.value, error=exc.error) from exc
+
+
+def _terms_integral(terms: _Terms, cfg: QuadratureConfig):
+    """int_R |G(x)|^alpha dx for the combination G of `terms`, per row."""
     alpha = terms.alpha
     freqs = _frequency_set(terms)
     decay = alpha * float(np.min(terms.p)) - 1.0          # = alpha * min H(t_k)
@@ -413,17 +421,11 @@ def _raw_norm_integral(spec: ProcessSpec, times, coeffs,
                               _phase_samples(freqs))
     hint = OscillationHint(frequencies=freqs, mean_envelope=mean_env,
                            **_two_scale(terms))
-    try:
-        # near H = 1 the head reaches x where x^{-p} overflows; the
-        # non-finite value then raises, so a warning would only repeat it
-        with np.errstate(over="ignore", invalid="ignore"):
-            res = integrate_even_singular(g, decay, singular, cfg, oscillation=hint)
-    except QuadratureError as exc:
-        raise QuadratureError(
-            "scale_norm quadrature failed for times=%s coeffs=%s: %s"
-            % (tuple(times), tuple(np.asarray(coeffs).tolist()), exc),
-            value=exc.value, error=exc.error) from exc
-    return res.value
+    # near H = 1 the head reaches x where x^{-p} overflows; the
+    # non-finite value then raises, so a warning would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        return integrate_even_singular(g, decay, singular, cfg,
+                                       oscillation=hint).value
 
 
 def scale_norm(spec: ProcessSpec, point: FddPoint,

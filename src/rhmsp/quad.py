@@ -398,11 +398,12 @@ def _aligned_panel_bounds_many(a, b, width):
     return np.split(flat, start[1:])
 
 
-def _geometric_bounds(a, b, ratio=2.0):
+def _geometric_bounds(a, b):
+    """a, 2a, 4a, ... below b, then b."""
     pts = [a]
     x = a
-    while x * ratio < b:
-        x *= ratio
+    while x * 2.0 < b:
+        x *= 2.0
         pts.append(x)
     pts.append(b)
     return np.array(pts)
@@ -555,7 +556,7 @@ def _ramp_weight(x2, sigma, halfwidth):
 
 
 def _windowed_tail(part, cutoff, sigma, halfwidth, panel_width, s, x1,
-                   rel_tol, abs_tol, external_value, inner_rel_tol=1e-10):
+                   rel_tol, abs_tol, external_value, inner_rel_tol):
     """``int_cutoff^x1 part(x) dx`` via exact window averaging.
 
     Writing K for the (truncated, normalized) window kernel and X2 for

@@ -89,8 +89,7 @@ def test_criterion_03_lepage_cf(capsys):
 
 def test_criterion_04_increment_sandwich(capsys):
     spec = make_spec(hurst="sine:0.5,0.2,2")
-    lemma1, flat, sandwich = analysis.lemma_sweeps(
-        spec, cfg=CFG6, flat_gap_exponents=range(2, 9))
+    lemma1, flat, sandwich = analysis.lemma_sweeps(spec, cfg=CFG6)
     ok = (sandwich.metric == 0.0 and sandwich.passed
           and flat.passed and lemma1.passed)
     verdict(capsys, ok, "criterion 4 (increment sandwich)",

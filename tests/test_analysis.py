@@ -100,6 +100,45 @@ def test_localizability_constant_h_is_exact(default_spec):
 
 
 # ---------------------------------------------------------------------------
+# norm-equivalence sweeps
+# ---------------------------------------------------------------------------
+
+# ||Z^0.6(1) - Z^0.7(1)||_1.5 from mpmath, independent of the quad engine
+HURST_DIFFERENCE_REF = 0.699124546138679
+
+
+def test_hurst_difference_norm_matches_mpmath():
+    """The reference value comes from this mpmath script (30 digits; with
+    K = 200 periods it moves by 1.3e-14)::
+
+        import mpmath as mp
+        mp.mp.dps = 30
+        a = mp.mpf(1.5)
+        p1, p2 = mp.mpf('0.6') + 1 / a, mp.mpf('0.7') + 1 / a
+        L = 2 * mp.pi
+        env = lambda x: abs(x ** -p1 - x ** -p2) ** a
+        denv = lambda x: a * (x ** -p1 - x ** -p2) ** (a - 1) * (
+            p2 * x ** (-p2 - 1) - p1 * x ** (-p1 - 1))
+        osc = lambda x: (2 * abs(mp.sin(x / 2))) ** a
+        m = 2 ** a * mp.gamma((a + 1) / 2) / (mp.sqrt(mp.pi) * mp.gamma(a / 2 + 1))
+        q2 = mp.quad(lambda u: (osc(u) - m) * (L - u) ** 2, [0, L / 2, L]) / (2 * L)
+        K = 400
+        head = mp.quad(lambda x: osc(x) * env(x), [0, 1, L / 2, L]) + mp.fsum(
+            mp.quad(lambda x: osc(x) * env(x), [k * L, (k + 0.5) * L, (k + 1) * L])
+            for k in range(1, K))
+        tail = m * mp.quad(env, [K * L, 10 * K * L, mp.inf]) - q2 * denv(K * L)
+        print((2 * (head + tail)) ** (1 / a))
+
+    ``m`` is the mean of |2 sin(x/2)|^a over a period; past x = K L the
+    oscillating factor is m plus a periodic remainder whose first
+    antiderivative has mean zero, so the tail error starts at
+    -q2 env'(K L), q2 the mean of the second antiderivative."""
+    got = analysis._hurst_difference_norm(1.5, 1.0, 0.6, 0.7,
+                                          QuadratureConfig(rel_tol=1e-6))
+    assert got == pytest.approx(HURST_DIFFERENCE_REF, rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
 # LND study
 # ---------------------------------------------------------------------------
 

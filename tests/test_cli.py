@@ -204,6 +204,10 @@ def test_localtime_snaps_t_to_grid(tmp_path, capsys):
     (["ft-check", "--h", "1.5", "--t", "-1"], "error: t must be positive"),
     (["holder", "--grid", "0:9:3"], "error: grid leaves the horizon"),
     (["norm", "--times", "5", "--coeffs", "1"], "error: time 5 outside horizon"),
+    # the m2 widths are checked before the histogram writes anything
+    (["localtime", "--grid", "0:1:4", "--m2", "0"], "error: --m2 widths need h > 0"),
+    (["localtime", "--grid", "0:1:4", "--m2", "5"], "error: --m2 widths need h > 0"),
+    (["localtime", "--grid", "0:1:4", "--m2", "abc"], "error: bad m2 window list: 'abc'"),
 ])
 def test_rejected_command_leaves_no_out_dir(tmp_path, capsys, argv, message):
     out = tmp_path / "results"

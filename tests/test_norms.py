@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rhmsp import localtime, norms
@@ -77,6 +77,36 @@ def test_scale_norm_kernel_invariant():
     vals = [scale_norm(make_spec(kernel=k), point, CFG) for k in ("X", "Y", "F1")]
     assert vals[1] == pytest.approx(vals[0], rel=1e-5)
     assert vals[2] == pytest.approx(vals[0], rel=1e-5)
+
+
+@given(alpha=st.floats(1.1, 1.9), hurst=st.floats(0.3, 0.85),
+       terms=st.lists(st.tuples(st.floats(0.05, 4.0),
+                                st.floats(0.2, 1.0) | st.floats(-1.0, -0.2)),
+                      min_size=1, max_size=3, unique_by=lambda term: term[0]),
+       rel_tol=st.just(1e-6))
+@example(alpha=1.5, hurst=0.79, terms=[(2.92, 1.0)], rel_tol=1e-8)
+@example(alpha=1.2, hurst=0.7, terms=[(1.0, -1.0), (1.1, 1.0)], rel_tol=1e-8)
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_raw_norm_is_kernel_invariant(alpha, hurst, terms, rel_tol):
+    # under constant H each variant's combination is X's up to one common
+    # rotation and conjugation, so the three norms agree to the tolerance,
+    # or all three fail to certify it
+    times, coeffs = zip(*sorted(terms))
+    assume(all(b - a >= 1.0 / 16.0 for a, b in zip(times, times[1:])))
+    cfg = QuadratureConfig(rel_tol=rel_tol)
+    values = []
+    for kernel in ("X", "Y", "F1"):
+        spec = make_spec(alpha=alpha, hurst="const:%r" % hurst, kernel=kernel)
+        try:
+            values.append(norms._raw_norm_integral(spec, times, coeffs, cfg))
+        except QuadratureError:
+            values.append(None)
+    x, y, f1 = values
+    if x is None:
+        assert y is None and f1 is None
+    else:
+        assert abs(y - x) <= 2.0 * rel_tol * x
+        assert abs(f1 - x) <= 2.0 * rel_tol * x
 
 
 def test_tiny_hurst_norm_raises_instead_of_nan():
@@ -265,7 +295,7 @@ def _frozen(terms, x, y):
     """The full nodes-by-samples matrix of a combination frozen at x."""
     out = np.zeros((x.size, y.size), dtype=complex)
     for k in range(terms.lam.size):
-        osc = terms.c1[k] * np.exp(1j * terms.nu[k] * y) + terms.c0[k]
+        osc = terms.c1[k] * (np.exp(1j * terms.nu[k] * y) - 1.0)
         out += terms.lam[k] * x[:, None] ** (-terms.p[k]) * osc[None, :]
     return out
 
@@ -363,7 +393,7 @@ def test_stacked_envelope_is_each_rows_envelope(monkeypatch, hurst):
     y = norms._phase_samples(stacked.frequencies)
     terms = norms._build_terms(spec, times, rows)
     for row, env in zip(terms.lam, stacked.mean_envelope(x)):
-        one = norms._Terms(lam=row, p=terms.p, nu=terms.nu, c1=terms.c1, c0=terms.c0,
+        one = norms._Terms(lam=row, p=terms.p, nu=terms.nu, c1=terms.c1,
                            alpha=terms.alpha)
         want = norms._mean_envelope(lambda G: np.abs(G) ** terms.alpha, (one,), y)
         assert np.array_equal(env, want(x))

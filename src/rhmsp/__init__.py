@@ -47,7 +47,6 @@ from .localtime import (
     SamplePath,
     LocalTimeEstimate,
     TestFunction,
-    LocalTimeBudgetError,
     occupation_histogram,
     occupation_formula_check,
     local_time_second_moment,

@@ -324,18 +324,6 @@ def lemma_sweeps(spec: ProcessSpec,
 # LND ratio study
 # ---------------------------------------------------------------------------
 
-def _increment_coeffs(n: int, c: Sequence[float]) -> Tuple[float, ...]:
-    """Point-value coefficients of (X(t_n)-X(t_{n-1})) - sum_k c_k
-    (X(t_{k+1})-X(t_k)) for k = 1..n-2."""
-    w = [0.0] * n
-    w[n - 1] = 1.0
-    w[n - 2] = -1.0
-    for k, ck in enumerate(c):       # k-th increment spans (t_{k+1}, t_{k+2})
-        w[k] -= -float(ck)           # +c_k on the left endpoint
-        w[k + 1] -= float(ck)        # -c_k on the right endpoint
-    return tuple(w)
-
-
 def _increment_lnd_ratio(spec: ProcessSpec, times: Sequence[float],
                          cfg: QuadratureConfig,
                          opt_cfg: OptimizerConfig) -> Tuple[float, Tuple[float, ...]]:
@@ -346,9 +334,10 @@ def _increment_lnd_ratio(spec: ProcessSpec, times: Sequence[float],
     n = len(times)
     alpha = spec.alpha.alpha
     inc = increment_norm(spec, times[-1], times[-2], cfg)
-    # the combination is affine in c: v0 plus c_k times row k of V
-    v0 = np.array(_increment_coeffs(n, ()))
-    V = np.array([_increment_coeffs(n, row) for row in np.eye(n - 2)]).reshape(n - 2, n) - v0
+    # the combination (X(t_n) - X(t_{n-1})) - Sum_k c_k (X(t_{k+1}) - X(t_k))
+    # is affine in c: v0 plus c_k times row k of V
+    v0 = np.eye(n)[-1] - np.eye(n)[-2]
+    V = np.eye(n - 2, n) - np.eye(n - 2, n, 1)
     best_f, best_x = _span_distance(spec, times, v0, V, np.zeros(n - 2), cfg, opt_cfg)
     dist = best_f ** (1.0 / alpha)
     return dist / inc, tuple(float(v) for v in best_x)

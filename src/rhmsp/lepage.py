@@ -286,7 +286,10 @@ def sample_paths(spec: ProcessSpec, grid: Sequence[float], path_count: int,
 
 def empirical_cf(ensemble: PathEnsemble, point: FddPoint) -> Tuple[complex, float]:
     """Monte-Carlo characteristic function mean exp(i Sum lambda_k X(t_k))
-    and its standard error (max of the Re/Im component errors)."""
+    and its standard error (max of the Re/Im component errors), which needs
+    at least two paths."""
+    if ensemble.paths.shape[0] < 2:
+        raise ValueError("a standard error needs at least 2 paths")
     idx = []
     for t in point.times:
         match = [i for i, g in enumerate(ensemble.grid) if g == t]

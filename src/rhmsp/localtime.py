@@ -32,7 +32,6 @@ __all__ = [
     "SamplePath",
     "LocalTimeEstimate",
     "TestFunction",
-    "LocalTimeBudgetError",
     "occupation_histogram",
     "occupation_formula_check",
     "local_time_second_moment",
@@ -96,14 +95,6 @@ class TestFunction:
         if self.kind == "gaussian":
             return np.exp(-0.5 * ((x - self.p1) / self.p2) ** 2)
         return ((x >= self.p1) & (x < self.p2)).astype(float)
-
-
-class LocalTimeBudgetError(RuntimeError):
-    """m=2 quadrature exceeded its scale_norm call budget."""
-
-    def __init__(self, message, partial):
-        super().__init__(message)
-        self.partial = float(partial)
 
 
 def occupation_histogram(path: SamplePath, t: float, bin_count: int,
@@ -214,10 +205,11 @@ def _phi_coeffs(phis):
     return [(math.cos(phi) - math.sin(phi), math.sin(phi)) for phi in phis]
 
 
-def local_time_second_moment(spec: ProcessSpec, t: float, h: float, x: float,
-                             cfg: QuadratureConfig = QuadratureConfig(
-                                 rel_tol=1e-4, abs_tol=1e-10),
-                             max_norm_calls: int = 100_000) -> float:
+_M2_CFG = QuadratureConfig(rel_tol=1e-4, abs_tol=1e-10)
+
+
+def local_time_second_moment(spec: ProcessSpec, t: float, h: float,
+                             x: float) -> float:
     """E L([t, t+h], x)^2 by tensorized quadrature over exact stable calculus.
 
     Outer integral: gap/position coordinates with a Gauss-Jacobi rule in the
@@ -231,7 +223,8 @@ def local_time_second_moment(spec: ProcessSpec, t: float, h: float, x: float,
     section ||f(s2) - f(s1)||^alpha, which set the dip width, are two
     scalar norms; the 20 phi sections ||c1 f(s1) + c2 f(s2)||^alpha share
     the time pair and are one stacked quadrature pass, each row certified
-    on its own.  ``max_norm_calls`` counts sections, stacked or not.
+    on its own.  So one moment takes 6 quadratures and 44 sections, each
+    at ``_M2_CFG``.
 
     Cost: a phi section keeps a constant part (c1 + c2 != 0), so its
     frequencies s1, s2 cluster around a fast phase with the beat g.  Where
@@ -250,18 +243,10 @@ def local_time_second_moment(spec: ProcessSpec, t: float, h: float, x: float,
     if not (0.0 <= t and t + h <= spec.horizon):
         raise ValueError("[t, t+h] leaves the horizon")
 
-    calls = [0]
-    partial = [0.0]
-
     def sections(s1, s2, coeffs):
         """||c1 f(s1) + c2 f(s2)||^alpha for one pair (c1, c2), or for each
         row of a stack of pairs."""
-        calls[0] += np.size(coeffs) // 2
-        if calls[0] > max_norm_calls:
-            raise LocalTimeBudgetError(
-                "scale_norm call budget %d exceeded" % max_norm_calls,
-                partial[0])
-        return _raw_norm_integral(spec, (s1, s2), coeffs, cfg)
+        return _raw_norm_integral(spec, (s1, s2), coeffs, _M2_CFG)
 
     def inner(s1, s2):
         """int_0^pi c(phi)^{-2/alpha} G(x cos(phi) c(phi)^{-1/alpha}) dphi."""
@@ -291,7 +276,6 @@ def local_time_second_moment(spec: ProcessSpec, t: float, h: float, x: float,
         lo, hi = t, t + h - g
         pos = (hi - lo) * inner(0.5 * (lo + hi), 0.5 * (lo + hi) + g)
         total += wg * g ** h_check * pos
-        partial[0] = total
     total *= (h / 2.0) ** (1.0 - h_check)
     return 2.0 * total / (2.0 * math.pi) ** 2
 

@@ -21,7 +21,7 @@ from scipy import integrate as _sciint
 from scipy import optimize as _sciopt
 from scipy.special import hyp2f1 as _hyp2f1
 
-from .model import KernelVariant, ProcessSpec, kernel_rotation
+from .model import KernelVariant, ProcessSpec, kernel_hat_Y, kernel_rotation
 from .quad import (
     OscillationHint,
     QuadratureConfig,
@@ -407,25 +407,36 @@ def _raw_norm_integral(spec: ProcessSpec, times, coeffs,
             value=exc.value, error=exc.error) from exc
 
 
-def _terms_integral(terms: _Terms, cfg: QuadratureConfig):
-    """int_R |G(x)|^alpha dx for the combination G of `terms`, per row."""
-    alpha = terms.alpha
-    freqs = _frequency_set(terms)
-    decay = alpha * float(np.min(terms.p)) - 1.0          # = alpha * min H(t_k)
-    singular = alpha * (float(np.max(terms.p)) - 1.0)
+def _integral(reduce, combos, decay, cfg: QuadratureConfig, **fast):
+    """int_R reduce(*[G(x) for G in combos]) dx, per row, for an even,
+    nonnegative ``reduce`` of the combinations `combos` that decays as
+    x^{-(decay + 1)}: the one path from kernel combinations to the engine.
+    It builds the frequency set, the singular exponent alpha (max p - 1),
+    the phase samples, the mean envelope and the hint; ``fast`` holds the
+    two-scale fields of `_two_scale`, if any."""
+    freqs = _frequency_set(*combos)
+    p_max = float(max(np.max(c.p) for c in combos))
+    hint = OscillationHint(
+        frequencies=freqs,
+        mean_envelope=_mean_envelope(reduce, combos, _phase_samples(freqs)),
+        **fast)
 
     def g(x):
-        return np.abs(terms.combo(x)) ** alpha
+        return reduce(*[c.combo(x) for c in combos])
 
-    mean_env = _mean_envelope(lambda G: np.abs(G) ** alpha, (terms,),
-                              _phase_samples(freqs))
-    hint = OscillationHint(frequencies=freqs, mean_envelope=mean_env,
-                           **_two_scale(terms))
     # near H = 1 the head reaches x where x^{-p} overflows; the
     # non-finite value then raises, so a warning would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        return integrate_even_singular(g, decay, singular, cfg,
-                                       oscillation=hint).value
+        return integrate_even_singular(g, decay, combos[0].alpha * (p_max - 1.0),
+                                       cfg, oscillation=hint).value
+
+
+def _terms_integral(terms: _Terms, cfg: QuadratureConfig):
+    """int_R |G(x)|^alpha dx for the combination G of `terms`, per row."""
+    alpha = terms.alpha
+    decay = alpha * float(np.min(terms.p)) - 1.0          # = alpha * min H(t_k)
+    return _integral(lambda G: np.abs(G) ** alpha, (terms,), decay, cfg,
+                     **_two_scale(terms))
 
 
 def scale_norm(spec: ProcessSpec, point: FddPoint,
@@ -474,12 +485,8 @@ def _grad_component(spec: ProcessSpec, times, coeffs, direction,
     if terms is None or along is None:
         return 0.0
     alpha = terms.alpha
-    freqs = _frequency_set(terms, along)
-
     p_min = float(min(np.min(terms.p), np.min(along.p)))
-    p_max = float(max(np.max(terms.p), np.max(along.p)))
     decay = (alpha - 1.0) * p_min + float(np.min(along.p)) - 1.0
-    singular = alpha * (p_max - 1.0)
 
     def signed(G, D):
         absG = np.abs(G)
@@ -489,20 +496,12 @@ def _grad_component(spec: ProcessSpec, times, coeffs, direction,
                      * (G[mask].conjugate() * D[mask]).real)
         return out
 
-    y = _phase_samples(freqs)
     total = 0.0
     for sign in (1.0, -1.0):
         def part(G, D, sign=sign):
             return np.maximum(sign * signed(G, D), 0.0)
 
-        def g(x, part=part):
-            x = np.asarray(x, dtype=float)
-            return part(terms.combo(x), along.combo(x))
-
-        hint = OscillationHint(frequencies=freqs,
-                               mean_envelope=_mean_envelope(part, (terms, along), y))
-        res = integrate_even_singular(g, decay, singular, cfg, oscillation=hint)
-        total += sign * res.value
+        total += sign * _integral(part, (terms, along), decay, cfg)
     return alpha * total
 
 
@@ -603,8 +602,6 @@ def hausdorff_young_ratio(spec: ProcessSpec, point: FddPoint,
     u > t_k term by term but extends to all u < 0, so the beta-norm includes
     the negative half-line tail.
     """
-    from .model import kernel_hat_Y  # local import keeps module load light
-
     if spec.kernel is not KernelVariant.Y:
         raise ValueError("hausdorff_young_ratio requires the Y kernel")
     alpha = spec.alpha.alpha

@@ -139,6 +139,9 @@ _WINDOW_BATCH = 1 << 11
 # periods of the slowest beat over which a two-scale tail measures the leak
 # of its fast window
 _LEAK_BEATS = 2
+# half-width of the truncated Gaussian tail window, in units of its width
+# sigma
+_HALFWIDTH = 6.5
 
 
 @dataclass(frozen=True)
@@ -466,25 +469,21 @@ def _singular_head(g, a1, sing_exp, rel_tol, abs_tol, ext):
     return val, err, nev
 
 
-def _window_sigma(rel_tol):
-    """Window width (in units of 1/w_win) so the slowest component is
-    suppressed to ~rel_tol/100: exp(-q^2/2) = rel_tol/100."""
-    return min(9.0, max(4.5, math.sqrt(2.0 * math.log(100.0 / rel_tol))))
+def _window(w_lo, w_hi, rel_tol):
+    """(sigma, panel_width, reach) for frequencies in [w_lo, w_hi]: the window
+    width with exp(-(w_lo sigma)^2 / 2) = rel_tol/100, w_lo sigma clamped to
+    [4.5, 9]; one period of w_hi per panel, half of one below rel_tol 1e-6;
+    and the earliest tail cut-off, eight periods of w_lo."""
+    sigma = min(9.0, max(4.5, math.sqrt(2.0 * math.log(100.0 / rel_tol)))) / w_lo
+    p_fast = 2.0 * math.pi / w_hi
+    panel_width = p_fast if rel_tol >= 1e-6 else 0.5 * p_fast
+    return sigma, panel_width, 8.0 * 2.0 * math.pi / w_lo
 
 
-def _window_kernel(sigma, halfwidth):
-    norm = math.erf(halfwidth / (sigma * math.sqrt(2.0)))
-    c = 1.0 / (math.sqrt(2.0 * math.pi) * sigma * norm)
-
-    def kern(z):
-        return c * np.exp(-0.5 * (z / sigma) ** 2)
-
-    return kern
-
-
-def _windowed_means(g, xs, x_lo, sigma, halfwidth, panel_width, rel_tol):
+def _windowed_means(g, xs, x_lo, sigma, panel_width, rel_tol):
     """(g * K)(x) restricted to y >= x_lo for every x in xs, as (means,
-    evaluations), with one mean per x behind the row axis of a stack;
+    evaluations), with one mean per x behind the row axis of a stack, K the
+    Gaussian window of width sigma truncated at ``_HALFWIDTH`` sigma;
     adaptively refined so that cusps of the integrand (|.|^alpha kinks at the
     oscillation zeros) are resolved.
 
@@ -497,7 +496,13 @@ def _windowed_means(g, xs, x_lo, sigma, halfwidth, panel_width, rel_tol):
     of every live window, and each window gets a contiguous copy of its own
     sums, so its value is the one it would have alone.  Windows are taken in
     groups of at most ``_WINDOW_BATCH`` first-pass panels."""
-    kern = _window_kernel(sigma, halfwidth)
+    halfwidth = _HALFWIDTH * sigma
+    c = 1.0 / (math.sqrt(2.0 * math.pi) * sigma
+               * math.erf(halfwidth / (sigma * math.sqrt(2.0))))
+
+    def kern(z):
+        return c * np.exp(-0.5 * (z / sigma) ** 2)
+
     means = [0.0] * len(xs)
     nev = 0
     pending = []
@@ -542,83 +547,24 @@ def _windowed_means(g, xs, x_lo, sigma, halfwidth, panel_width, rel_tol):
     return np.stack(np.broadcast_arrays(*means), axis=-1), nev
 
 
-def _ramp_weight(x2, sigma, halfwidth):
-    """The weight w(y) = 1 - int_{x2}^inf K(x - y) dx of the truncated,
-    normalized Gaussian window K: 1 up to x2 - halfwidth, 0 from x2 +
+def _ramp(f, cutoff, sigma, panel_width, cfg, running):
+    """``int f(y, w(y)) dy`` over [cutoff, x2 + halfwidth] as (value, error,
+    evaluations), x2 = cutoff + halfwidth, halfwidth = ``_HALFWIDTH`` sigma:
+    w(y) = 1 - int_{x2}^inf K(x - y) dx for the truncated, normalized
+    Gaussian window K of width sigma is 1 up to cutoff, 0 from x2 +
     halfwidth on, an erf ramp between."""
+    halfwidth = _HALFWIDTH * sigma
+    x2 = cutoff + halfwidth
     norm = math.erf(halfwidth / (sigma * math.sqrt(2.0)))
     den = math.sqrt(2.0) * sigma
 
-    def weight(y):
+    def integrand(y):
         z = np.clip((x2 - y) / den, -halfwidth / den, halfwidth / den)
-        return 1.0 - (norm - _erf(z)) / (2.0 * norm)
-    return weight
+        return f(y, 1.0 - (norm - _erf(z)) / (2.0 * norm))
 
-
-def _windowed_tail(part, cutoff, sigma, halfwidth, panel_width, s, x1,
-                   rel_tol, abs_tol, external_value, inner_rel_tol):
-    """``int_cutoff^x1 part(x) dx`` via exact window averaging.
-
-    Writing K for the (truncated, normalized) window kernel and X2 for
-    cutoff + halfwidth, the identity
-
-        int_cutoff^inf part = int_cutoff^{X2+hw} part(y) (1 - Q(X2-y)) dy
-                              + int_X2^inf (part * K)(x) dx,
-
-    with Q the upper CDF of K, holds exactly.  The first ("ramp") term is a
-    bounded oscillatory integral handled by direct oscillation-resolved
-    panels; in the second every window lies fully inside [cutoff, inf), so
-    the convolution suppresses all fast components and the outer integrand
-    is genuinely smooth under the power substitution x = X2 * u**(-1/s).
-    The split matters: windows clipped at the cutoff edge would carry an
-    unsuppressed O(1/(w*sigma)) ripple that defeats the error estimator.
-
-    Each pass of the outer integrand evaluates the windowed means at all of
-    its nodes together (`_windowed_means`); each mean is still refined and
-    certified alone, and windows are grouped by at most ``_WINDOW_BATCH``
-    (2048) first-pass panels, since one group for a whole pass raised the
-    peak resident set of an m2 computation by 80 MB.
-    """
-    x2 = cutoff + halfwidth
-    ramp_weight = _ramp_weight(x2, sigma, halfwidth)
-
-    def ramp_integrand(y):
-        return part(y) * ramp_weight(y)
-
-    rb = _aligned_panel_bounds(cutoff, x2 + halfwidth, panel_width)
-    ramp_val, ramp_err, nev = _adaptive_panels(
-        ramp_integrand, rb, rel_tol, abs_tol, 24,
-        external_value=external_value)
-
-    def outer(u):
-        u = np.atleast_1d(u)
-        means, n = _windowed_means(part, [x2 * ui ** (-1.0 / s) for ui in u],
-                                   cutoff, sigma, halfwidth, panel_width,
-                                   inner_rel_tol)
-        outer.nev += n
-        return means * (x2 / s) * np.array([ui ** (-1.0 - 1.0 / s) for ui in u])
-    outer.nev = 0
-
-    # the outer integrand inherits absolute noise ~ inner_rel_tol * envelope
-    # from the windowed means; without this floor a fully suppressed tail
-    # (mean ~ 0) would be refined forever in pursuit of pure noise
-    env2, n_env = _windowed_means(lambda y: np.abs(part(y)), [x2], cutoff,
-                                  sigma, halfwidth, panel_width, rel_tol=1e-3)
-    nev += n_env
-    noise = 3.0 * inner_rel_tol * abs(env2[..., 0]) * x2 / s
-
-    x1 = max(x1, 2.0 * x2)
-    u1 = (x2 / x1) ** s
-    # the substituted outer integrand is smooth; coarse initial grids are
-    # fine at loose tolerances (every extra node costs a full windowed mean)
-    n_outer = 9 if rel_tol < 5e-8 else (5 if rel_tol < 5e-6 else 3)
-    ub = np.geomspace(u1, 1.0, n_outer)
-    out_val, out_err, _ = _adaptive_panels(outer, ub, rel_tol,
-                                           np.maximum(abs_tol, noise),
-                                           14, external_value=external_value,
-                                           max_panels=4000)
-    nev += outer.nev
-    return ramp_val + out_val, ramp_err + out_err + noise, nev, x1
+    return _adaptive_panels(
+        integrand, _aligned_panel_bounds(cutoff, x2 + halfwidth, panel_width),
+        0.5 * cfg.rel_tol, 0.5 * cfg.abs_tol, 24, external_value=running)
 
 
 # power-law bracket: C in |g(x)| <= C x^{-(1+s)} is sampled on [r, 3.1 r]
@@ -631,21 +577,72 @@ def _envelope_constant(g, r, s):
     return np.max(np.abs(g(xs)) * xs ** (1.0 + s), axis=-1) * 1.5
 
 
-def _oscillating_tail(part, cutoff, sigma, halfwidth, panel_width, w_osc,
-                      steady, s, cfg, mean_envelope, running, x1_cap):
-    """``int_cutoff^inf part`` as (value, error, evaluations): the windowed
-    tail out to x1 with the window (sigma, halfwidth) sized to the slowest
-    frequency of ``w_osc``, then past x1 the phase-mean envelope, or else a
-    van der Corput bound per component."""
+def _oscillating_tail(part, cutoff, w_osc, steady, s, cfg, mean_envelope,
+                      running, x1_cap):
+    """``int_cutoff^inf part`` as (value, error, evaluations) for a part
+    whose components oscillate at the frequencies ``w_osc`` (ascending), and
+    one that does not when ``steady``: exact window averaging out to x1,
+    then past x1 the phase-mean envelope, or else a van der Corput bound
+    per component.
+
+    The window K is sized by `_window` to ``w_osc``.  Writing X2 for cutoff
+    + halfwidth, the identity
+
+        int_cutoff^inf part = int_cutoff^{X2+halfwidth} part(y) w(y) dy
+                              + int_X2^inf (part * K)(x) dx,
+
+    with w the erf ramp of `_ramp`, holds exactly.  The ramp term is a
+    bounded oscillatory integral on oscillation-resolved panels; in the
+    second every window lies fully inside [cutoff, inf), so the convolution
+    suppresses all fast components and the outer integrand is genuinely
+    smooth under the power substitution x = X2 * u**(-1/s).  The split
+    matters: windows clipped at the cutoff edge would carry an unsuppressed
+    O(1/(w*sigma)) ripple that defeats the error estimator.
+
+    Each pass of the outer integrand evaluates the windowed means at all of
+    its nodes together (`_windowed_means`).
+    """
+    sigma, panel_width, _ = _window(w_osc[0], w_osc[-1], cfg.rel_tol)
     if mean_envelope is not None:
         x1 = max(4.0 * cutoff, min(x1_cap, cutoff * 1e6 ** (1.0 / max(s, 0.2))))
     else:
         x1 = x1_cap
-
+    rel_tol, abs_tol = 0.5 * cfg.rel_tol, 0.5 * cfg.abs_tol
     inner_rt = max(min(1e-10, 0.05 * cfg.rel_tol), 0.01 * cfg.rel_tol, 1e-12)
-    tail_val, tail_err, nev, x1 = _windowed_tail(
-        part, cutoff, sigma, halfwidth, panel_width, s, x1, 0.5 * cfg.rel_tol,
-        0.5 * cfg.abs_tol, running, inner_rel_tol=inner_rt)
+
+    ramp_val, ramp_err, nev = _ramp(lambda y, w: part(y) * w, cutoff, sigma,
+                                    panel_width, cfg, running)
+
+    x2 = cutoff + _HALFWIDTH * sigma
+
+    def outer(u):
+        u = np.atleast_1d(u)
+        means, n = _windowed_means(part, [x2 * ui ** (-1.0 / s) for ui in u],
+                                   cutoff, sigma, panel_width, inner_rt)
+        outer.nev += n
+        return means * (x2 / s) * np.array([ui ** (-1.0 - 1.0 / s) for ui in u])
+    outer.nev = 0
+
+    # the outer integrand inherits absolute noise ~ inner_rt * envelope
+    # from the windowed means; without this floor a fully suppressed tail
+    # (mean ~ 0) would be refined forever in pursuit of pure noise
+    env2, n_env = _windowed_means(lambda y: np.abs(part(y)), [x2], cutoff,
+                                  sigma, panel_width, rel_tol=1e-3)
+    nev += n_env
+    noise = 3.0 * inner_rt * abs(env2[..., 0]) * x2 / s
+
+    x1 = max(x1, 2.0 * x2)
+    u1 = (x2 / x1) ** s
+    # the substituted outer integrand is smooth; coarse initial grids are
+    # fine at loose tolerances (every extra node costs a full windowed mean)
+    n_outer = 9 if rel_tol < 5e-8 else (5 if rel_tol < 5e-6 else 3)
+    ub = np.geomspace(u1, 1.0, n_outer)
+    out_val, out_err, _ = _adaptive_panels(outer, ub, rel_tol,
+                                           np.maximum(abs_tol, noise),
+                                           14, external_value=running,
+                                           max_panels=4000)
+    nev += outer.nev
+    tail_val, tail_err = ramp_val + out_val, ramp_err + out_err + noise
     # window suppression residual: bounded by the kernel FT at w_min
     supp = math.exp(-0.5 * (w_osc[0] * sigma) ** 2)
     tail_err += supp * abs(tail_val) * 10.0 + supp * cfg.abs_tol
@@ -661,8 +658,7 @@ def _oscillating_tail(part, cutoff, sigma, halfwidth, panel_width, w_osc,
                 return vals * (x1 / s) * u ** (-1.0 - 1.0 / s)
 
         ub2 = np.geomspace(1e-6, 1.0, 7)
-        tv2, te2, n = _adaptive_panels(outer2, ub2, 0.5 * cfg.rel_tol,
-                                       0.5 * cfg.abs_tol, 14,
+        tv2, te2, n = _adaptive_panels(outer2, ub2, rel_tol, abs_tol, 14,
                                        external_value=running + tail_val)
         nev += n
         tail_val += tv2
@@ -678,39 +674,37 @@ def _oscillating_tail(part, cutoff, sigma, halfwidth, panel_width, w_osc,
     return tail_val, tail_err, nev
 
 
-def _leak_ratio(g, fast_mean, lo, span, sigma, halfwidth, panel_width,
-                inner_rel_tol):
+def _leak_ratio(g, fast_mean, lo, span, sigma, panel_width, inner_rel_tol):
     """Sum |(g - M) * K| / Sum M over windowed means at spacing 2 sigma
     across [lo, lo + span], per row, with (evaluations): the share of the
-    fast-phase mean M that the window K = (sigma, halfwidth) lets through
-    of g - M, in L1.  K averages the fast phase out, so what is left of
-    g - M is what the fast window leaks; it is at least sigma wide, so the
+    fast-phase mean M that the window K of width sigma lets through of
+    g - M, in L1.  K averages the fast phase out, so what is left of g - M
+    is what the fast window leaks; it is at least sigma wide, so the
     spacing resolves it."""
     step = 2.0 * sigma
-    xs = lo + halfwidth + step * np.arange(max(1, math.ceil(span / step)))
+    xs = lo + _HALFWIDTH * sigma + step * np.arange(max(1, math.ceil(span / step)))
     leak, nev = _windowed_means(lambda y: g(y) - fast_mean(y), xs, lo, sigma,
-                                halfwidth, panel_width, inner_rel_tol)
+                                panel_width, inner_rel_tol)
     scale = fast_mean(xs).sum(axis=-1)
     leak = np.abs(leak).sum(axis=-1)
     # a row that is zero throughout has M = 0 and leaks nothing
     return np.divide(leak, scale, out=np.zeros_like(leak), where=scale > 0.0), nev
 
 
-def _two_scale_tail(g, cutoff, sigma, halfwidth, panel_width, w_fast, slow,
-                    s, cfg, mean_envelope, running, x1_cap, fast_mean,
-                    fast_leak):
+def _two_scale_tail(g, cutoff, sigma, panel_width, w_fast, slow, s, cfg,
+                    mean_envelope, running, x1_cap, fast_mean, fast_leak):
     """``int_cutoff^inf g`` as (value, error, evaluations) for a g whose fast
     phase has the closed-form mean ``fast_mean`` (M), by the split
 
         int_cutoff^inf g = int g w + int M (1 - w) + int (g - M) (1 - w),
 
-    w the erf ramp of the window (sigma, halfwidth) sized to the fast band,
-    whose foot is ``w_fast``.  The first term lives on the ramp [cutoff,
-    cutoff + 2 halfwidth] and is taken together with the second there on
-    fast panels; past the ramp M alone carries only the ``slow`` beat
-    frequencies and goes through a middle region and `_oscillating_tail`
-    sized to them, with ``mean_envelope`` past x1 (g and M have the same
-    Weyl mean).
+    w the erf ramp (`_ramp`) of the window of width sigma sized to the fast
+    band, whose foot is ``w_fast``.  The first term lives on the ramp
+    [cutoff, cutoff + 2 halfwidth] and is taken together with the second
+    there on fast panels; past the ramp M alone carries only the ``slow``
+    beat frequencies and goes through a middle region and
+    `_oscillating_tail` sized to them, with ``mean_envelope`` past x1 (g and
+    M have the same Weyl mean).
 
     The third term is what the fast window leaks: the harmonics of the fast
     phase whose beat sidebands reach frequency 0, chiefly where |g| dips
@@ -723,24 +717,14 @@ def _two_scale_tail(g, cutoff, sigma, halfwidth, panel_width, w_fast, slow,
     times the tail.  None when a row's measured bound is above twice its
     tolerance, half of what the certificate allows: the caller then takes
     the one-scale tail."""
-    x2 = cutoff + halfwidth
-    r_end = x2 + halfwidth
-    weight = _ramp_weight(x2, sigma, halfwidth)
-
-    def ramp(y):
-        wy = weight(y)
-        return g(y) * wy + fast_mean(y) * (1.0 - wy)
-
-    val, err, nev = _adaptive_panels(
-        ramp, _aligned_panel_bounds(cutoff, r_end, panel_width),
-        0.5 * cfg.rel_tol, 0.5 * cfg.abs_tol, 24, external_value=running)
+    halfwidth = _HALFWIDTH * sigma
+    r_end = cutoff + halfwidth + halfwidth
+    val, err, nev = _ramp(lambda y, w: g(y) * w + fast_mean(y) * (1.0 - w),
+                          cutoff, sigma, panel_width, cfg, running)
 
     # M past the ramp: a middle region and a tail sized to the beats
-    w_min, w_beat = slow[0], slow[-1]
-    sigma_s = _window_sigma(cfg.rel_tol) / w_min
-    p_beat = 2.0 * math.pi / w_beat
-    panel_s = p_beat if cfg.rel_tol >= 1e-6 else 0.5 * p_beat
-    cutoff_s = max(r_end, 8.0 * 2.0 * math.pi / w_min)
+    _, panel_s, reach_s = _window(slow[0], slow[-1], cfg.rel_tol)
+    cutoff_s = max(r_end, reach_s)
     mv, me, n = _adaptive_panels(
         fast_mean, _aligned_panel_bounds(r_end, cutoff_s, panel_s),
         0.25 * cfg.rel_tol, 0.25 * cfg.abs_tol, _MAX_DEPTH,
@@ -748,9 +732,8 @@ def _two_scale_tail(g, cutoff, sigma, halfwidth, panel_width, w_fast, slow,
     nev += n
     val += mv
     err += me
-    tv, te, n = _oscillating_tail(fast_mean, cutoff_s, sigma_s, 6.5 * sigma_s,
-                                  panel_s, slow, False, s, cfg, mean_envelope,
-                                  running + val, x1_cap)
+    tv, te, n = _oscillating_tail(fast_mean, cutoff_s, slow, False, s, cfg,
+                                  mean_envelope, running + val, x1_cap)
     nev += n
     val += tv
     err += te
@@ -760,9 +743,8 @@ def _two_scale_tail(g, cutoff, sigma, halfwidth, panel_width, w_fast, slow,
     leak = fast_leak * np.abs(val)
     if np.any(leak > 0.1 * tol):
         ratio, n = _leak_ratio(g, fast_mean, r_end,
-                               _LEAK_BEATS * 2.0 * math.pi / w_min,
-                               sigma, halfwidth, panel_width,
-                               0.1 * cfg.rel_tol)
+                               _LEAK_BEATS * 2.0 * math.pi / slow[0],
+                               sigma, panel_width, 0.1 * cfg.rel_tol)
         nev += n
         leak = 2.0 * ratio * np.abs(val)
         if np.any(leak > 2.0 * tol):
@@ -793,13 +775,9 @@ def _half_line(g, s, singular_exponent, cfg: QuadratureConfig,
         # close frequencies survive any narrower window and force the outer
         # integral to resolve them out to x1); a two-scale tail leaves the
         # beats to the fast-phase mean, so its window suppresses the fast band
-        sigma = _window_sigma(cfg.rel_tol) / w_min
-        halfwidth = 6.5 * sigma
-        p_fast = 2.0 * math.pi / w_max
-        # half a fast period per panel; a whole one is enough at loose tolerances
-        panel_width = p_fast if cfg.rel_tol >= 1e-6 else 0.5 * p_fast
+        sigma, panel_width, reach = _window(w_min, w_max, cfg.rel_tol)
         a1 = min(_SPLIT, 0.5 / w_max)
-        cutoff = max(4.0 * _SPLIT, 8.0 * 2.0 * math.pi / w_min)
+        cutoff = max(4.0 * _SPLIT, reach)
         panels = (cutoff - a1) / panel_width
         if panels > _MAX_PANELS:
             raise QuadratureError(
@@ -833,16 +811,15 @@ def _half_line(g, s, singular_exponent, cfg: QuadratureConfig,
     if w_osc:
         x1_cap = 1e12 / max(w_max, 1e-12)
         if slow:
-            tail = _two_scale_tail(g, cutoff, sigma, halfwidth, panel_width,
-                                   w_min, slow, s, cfg, mean_envelope,
-                                   running, x1_cap, fast[1], fast[2])
+            tail = _two_scale_tail(g, cutoff, sigma, panel_width, w_min, slow,
+                                   s, cfg, mean_envelope, running, x1_cap,
+                                   fast[1], fast[2])
             if tail is None:
                 return _half_line(g, s, singular_exponent, cfg, freqs,
                                   mean_envelope)
         else:
-            tail = _oscillating_tail(g, cutoff, sigma, halfwidth, panel_width,
-                                     w_osc, steady, s, cfg, mean_envelope,
-                                     running, x1_cap)
+            tail = _oscillating_tail(g, cutoff, w_osc, steady, s, cfg,
+                                     mean_envelope, running, x1_cap)
         tail_val, tail_err, n = tail
         nev += n
     else:

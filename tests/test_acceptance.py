@@ -14,7 +14,6 @@ import pytest
 from scipy.special import gamma as _gamma_fn
 
 from rhmsp import analysis, cli, localtime
-from rhmsp.analysis import _increment_coeffs
 from rhmsp.lepage import (LePageConfig, bias_budget, derive_constants,
                           empirical_cf, sample_paths)
 from rhmsp.model import KernelVariant
@@ -136,7 +135,8 @@ def test_criterion_06_lnd(capsys):
     cfg4 = QuadratureConfig(rel_tol=1e-4)
 
     def objective(c):
-        return _raw_norm_integral(spec, times, _increment_coeffs(3, (c,)), cfg4)
+        # (X(t3) - X(t2)) - c (X(t2) - X(t1)) on the times
+        return _raw_norm_integral(spec, times, (c, -1.0 - c, 1.0), cfg4)
 
     coarse = np.arange(-0.5, 1.51, 0.05)
     c0 = coarse[int(np.argmin([objective(c) for c in coarse]))]

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -6,6 +7,11 @@ import pytest
 
 from rhmsp import cli
 from rhmsp.cli import CliError, load_config, parse_floats, parse_grid, run
+from rhmsp.lepage import LePageConfig, sample_paths
+from rhmsp.norms import FddPoint
+from rhmsp.quad import QuadratureConfig
+
+from conftest import make_spec
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +214,14 @@ def test_localtime_snaps_t_to_grid(tmp_path, capsys):
     (["localtime", "--grid", "0:1:4", "--m2", "0"], "error: --m2 widths need h > 0"),
     (["localtime", "--grid", "0:1:4", "--m2", "5"], "error: --m2 widths need h > 0"),
     (["localtime", "--grid", "0:1:4", "--m2", "abc"], "error: bad m2 window list: 'abc'"),
+    # the path-level checks reject these after sampling, before any write
+    (["holder", "--deltas", "0.5"], "error: need at least 4 deltas"),
+    # the default deltas reach 2^-9, finer than the grid step 1/64
+    (["holder", "--grid", "0:1:64"], "error: delta 0.00195312 not a usable multiple"),
+    (["localtime", "--bins", "5"], "error: binCount must be >= 10"),
+    # one path has a NaN standard error, and no point checks nothing
+    (["cf-check", "--paths", "1"], "error: --paths must be at least 2"),
+    (["cf-check", "--points", "0"], "error: --points must be at least 1"),
 ])
 def test_rejected_command_leaves_no_out_dir(tmp_path, capsys, argv, message):
     out = tmp_path / "results"
@@ -301,3 +315,15 @@ def test_verify_all_runs_the_single_command_checks(tmp_path, capsys):
                 assert data["parameters"]["config"]["seed"] == "42", fn
                 reports += 1
     assert reports == 9
+
+
+def test_nan_cf_ratio_fails_the_check(monkeypatch):
+    # Python's max(0.0, nan) is 0.0: a NaN standard error used to pass
+    spec = make_spec()
+    grid = np.linspace(0.0, 1.0, 5)
+    ens = sample_paths(spec, grid, 2, LePageConfig(terms=100, seed=1))
+    points = [FddPoint((0.25,), (1.0,)), FddPoint((0.5,), (1.0,))]
+    monkeypatch.setattr(cli.lepage, "empirical_cf",
+                        lambda ens, pt: (0.5, math.nan if pt.times == (0.5,) else 0.1))
+    report, _ = cli._cf_check(spec, ens, points, QuadratureConfig(rel_tol=1e-6))
+    assert math.isnan(report.metric) and not report.passed

@@ -106,6 +106,12 @@ def test_empirical_cf_against_exact(default_spec):
         assert abs(emp - exact_cf(default_spec, point, cfg)) <= 3.0 * se + budget
 
 
+def test_empirical_cf_needs_two_paths(default_spec):
+    ens = sample_paths(default_spec, (0.0, 0.5), 1, LePageConfig(terms=100))
+    with pytest.raises(ValueError, match="at least 2 paths"):
+        empirical_cf(ens, FddPoint(times=(0.5,), coeffs=(1.0,)))
+
+
 def test_empirical_cf_requires_grid_times(default_spec):
     ens = sample_paths(default_spec, (0.0, 0.5), 2, LePageConfig(terms=100))
     with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ from scipy.special import gamma as _gamma_fn
 
 from rhmsp import localtime
 from rhmsp.lepage import LePageConfig, sample_paths
-from rhmsp.localtime import (LocalTimeBudgetError, SamplePath,
+from rhmsp.localtime import (SamplePath,
                              TestFunction as OccTestFn,
                              ensemble_path, local_time_second_moment,
                              occupation_formula_check, occupation_histogram)
@@ -102,20 +102,14 @@ def test_m2_validation(default_spec):
         local_time_second_moment(default_spec, 3.999, 0.01, 0.0)
 
 
-def test_m2_budget_error(default_spec):
-    with pytest.raises(LocalTimeBudgetError) as err:
-        local_time_second_moment(default_spec, 0.5, 0.02, 0.0,
-                                 max_norm_calls=10)
-    assert err.value.partial >= 0.0
-
-
-def test_m2_budget_counts_sections(default_spec, monkeypatch):
+def test_m2_prices_six_quadratures_and_44_sections(default_spec, monkeypatch):
     # two gap nodes, each two scalar sections and one stack of 20 phi rows
+    calls = []
+
     def unit_sections(spec, times, coeffs, cfg):
+        calls.append(np.size(coeffs) // 2)
         return np.ones(len(coeffs)) if np.ndim(coeffs) > 1 else 1.0
 
     monkeypatch.setattr(localtime, "_raw_norm_integral", unit_sections)
-    assert local_time_second_moment(default_spec, 0.5, 0.02, 0.0,
-                                    max_norm_calls=44) > 0.0
-    with pytest.raises(LocalTimeBudgetError):
-        local_time_second_moment(default_spec, 0.5, 0.02, 0.0, max_norm_calls=43)
+    assert local_time_second_moment(default_spec, 0.5, 0.02, 0.0) > 0.0
+    assert len(calls) == 6 and sum(calls) == 44

@@ -116,9 +116,9 @@ def test_windowed_mean_evaluates_each_node_once():
         seen.append(np.array(x))
         return np.abs(np.cos(3.0 * x)) ** 1.5 * x ** -1.7
 
-    sigma = quad._window_sigma(1e-8) / 3.0
-    val, n = quad._windowed_means(g, [60.0], 40.0, sigma, 6.5 * sigma,
-                                  math.pi / 3.0, rel_tol=1e-10)
+    sigma = quad._window(3.0, 3.0, 1e-8)[0]
+    val, n = quad._windowed_means(g, [60.0], 40.0, sigma, math.pi / 3.0,
+                                  rel_tol=1e-10)
     nodes = np.concatenate(seen)
     assert val[..., 0] > 0.0 and n == nodes.size
     assert np.unique(nodes).size == nodes.size
@@ -133,14 +133,15 @@ def _cusp_rows(x):
 
 
 # window layout of a tail pass at rel_tol 1e-8 for frequency 3: x_lo = 40
-_SIGMA = quad._window_sigma(1e-8) / 3.0
-_WINDOW = (40.0, _SIGMA, 6.5 * _SIGMA, math.pi / 3.0)
+_SIGMA = quad._window(3.0, 3.0, 1e-8)[0]
+_WINDOW = (40.0, _SIGMA, math.pi / 3.0)
 
 
 def test_window_panel_bounds_are_each_windows_own():
     # clipped at x_lo, empty (x + hw <= x_lo), many panels, and inside one
     # panel or inverted; the group builder equals the per-window one bit for bit
-    x_lo, sigma, hw, width = _WINDOW
+    x_lo, sigma, width = _WINDOW
+    hw = quad._HALFWIDTH * sigma
     xs = np.array([41.0, x_lo - hw - 1.0, 60.0, 90.0, 47.3, 1e3 + 1e-9])
     lo = np.maximum(xs - hw, x_lo)
     hi = xs + hw
@@ -158,13 +159,13 @@ def test_window_panel_bounds_are_each_windows_own():
 def test_windowed_means_are_each_windows_own_mean(monkeypatch, g, batch):
     # a window far past x_lo, one clipped at it, one empty (x + hw <= x_lo),
     # and tight tolerances that take some windows through several passes
-    x_lo, sigma, hw, width = _WINDOW
-    xs = [60.0, 41.0, x_lo - hw - 1.0, 47.3, 90.0, 52.5]
+    x_lo, sigma, width = _WINDOW
+    xs = [60.0, 41.0, x_lo - quad._HALFWIDTH * sigma - 1.0, 47.3, 90.0, 52.5]
     monkeypatch.setattr(quad, "_WINDOW_BATCH", batch)   # 40: several groups
     for rel_tol in (1e-6, 1e-12):
-        means, n = quad._windowed_means(g, xs, x_lo, sigma, hw, width, rel_tol)
+        means, n = quad._windowed_means(g, xs, x_lo, sigma, width, rel_tol)
         assert means.shape == np.shape(g(np.ones(1)))[:-1] + (len(xs),)
-        alone = [quad._windowed_means(g, [x], x_lo, sigma, hw, width, rel_tol)
+        alone = [quad._windowed_means(g, [x], x_lo, sigma, width, rel_tol)
                  for x in xs]
         alone = [(mean[..., 0], k) for mean, k in alone]
         for j, (mean, _) in enumerate(alone):
@@ -174,7 +175,7 @@ def test_windowed_means_are_each_windows_own_mean(monkeypatch, g, batch):
     # at 1e-12 the first window is bisected at least twice
     seen = []
     quad._windowed_means(lambda x: seen.append(x.size) or g(x), [xs[0]], x_lo,
-                         sigma, hw, width, 1e-12)
+                         sigma, width, 1e-12)
     assert len(seen) >= 3
 
 
@@ -182,18 +183,18 @@ def test_windowed_means_share_integrand_calls():
     # each pass evaluates g in _GK_BLOCK chunks over every live window, so
     # the calls are at most one per pass plus one per full chunk, not one
     # per window and pass
-    x_lo, sigma, hw, width = _WINDOW
-    xs = list(np.linspace(x_lo + hw, 400.0, 60))
+    x_lo, sigma, width = _WINDOW
+    xs = list(np.linspace(x_lo + quad._HALFWIDTH * sigma, 400.0, 60))
     passes = []
     for x in xs:
         seen = []
         quad._windowed_means(lambda y: seen.append(y.size) or _cusps(y), [x],
-                             x_lo, sigma, hw, width, 1e-10)
+                             x_lo, sigma, width, 1e-10)
         assert max(seen) < quad._GK_BLOCK   # a window alone: one call a pass
         passes.append(len(seen))
     seen = []
     _, n = quad._windowed_means(lambda y: seen.append(y.size) or _cusps(y), xs,
-                                x_lo, sigma, hw, width, 1e-10)
+                                x_lo, sigma, width, 1e-10)
     assert n == sum(seen)
     chunk = quad._XK.size * (quad._GK_BLOCK // quad._XK.size)
     assert len(seen) <= max(passes) + n // chunk
@@ -201,12 +202,15 @@ def test_windowed_means_share_integrand_calls():
 
 
 # values recorded, as float.hex, when every windowed mean was computed on
-# its own and the Fourier phase per node: the lock-step windowed means and
-# the selected phase must reproduce them bit for bit
+# its own and the Fourier phase per node, and (the m2 moment, whose phi
+# stacks take the two-scale tail, and a gradient component) when each tail
+# set up its own window and ramp: the lock-step windowed means, the selected
+# phase and the shared window and ramp must reproduce them bit for bit
 def test_windowed_tail_bits_are_pinned():
     from rhmsp import ProcessSpec, StabilityIndex, KernelVariant, parse_hurst
     from rhmsp.analysis import ft_check
-    from rhmsp.norms import _raw_norm_integral
+    from rhmsp.localtime import local_time_second_moment
+    from rhmsp.norms import _grad_component, _raw_norm_integral
 
     assert ft_check(1.2, 0.5).metric.hex() == "0x1.90e51acf53000p-14"
     spec = ProcessSpec(alpha=StabilityIndex(1.5),
@@ -215,6 +219,14 @@ def test_windowed_tail_bits_are_pinned():
     raw = _raw_norm_integral(spec, (1.0, 1.25), (-1.0, 1.0),
                              QuadratureConfig(rel_tol=1e-8))
     assert float(raw).hex() == "0x1.1239adf52b73ep+1"
+    flat = ProcessSpec(alpha=StabilityIndex(1.5),
+                       hurst=parse_hurst("const:0.5", 4.0),
+                       kernel=KernelVariant.X, horizon=4.0)
+    m2 = local_time_second_moment(flat, 0.5, 0.02, 0.0)
+    assert m2.hex() == "0x1.0eaef854cfbecp-14"
+    grad = _grad_component(flat, (0.5, 0.53, 0.56), (0.3, -1.3, 1.0),
+                           (1.0, -1.0, 0.0), QuadratureConfig(rel_tol=1e-6))
+    assert grad.hex() == "0x1.b773dc18206c1p-4"
 
 
 @pytest.mark.parametrize("h", [1.2, 1.5, 1.8])

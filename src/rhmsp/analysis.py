@@ -33,6 +33,7 @@ from .quad import QuadratureConfig, oscillatory_ft
 __all__ = [
     "CheckReport",
     "DEFAULT_U_GRID",
+    "holder_lags",
     "holder_slope",
     "localizability_error",
     "lemma_sweeps",
@@ -110,19 +111,15 @@ class CheckReport:
 # Hölder slope of sampled paths
 # ---------------------------------------------------------------------------
 
-def holder_slope(ensemble, deltas: Sequence[float],
-                 threshold: float = 0.1) -> CheckReport:
-    """Per-path modulus maxima S(delta) = max_{|t-s|<=delta} |X(t)-X(s)|,
-    regressed log-log; metric = |median slope - hHat|.
-
-    The 0.1 default tolerance absorbs the |log delta|^{1/alpha+1/2+eps}
-    factor in the true modulus, which biases the empirical slope slightly
-    below hHat at desk-scale resolutions.
-    """
+def holder_lags(grid, deltas: Sequence[float]):
+    """The sorted deltas and their lags in steps of the uniform grid, as
+    `holder_slope` uses them; raises ValueError for fewer than 4 deltas, a
+    grid that is not uniform or a delta that is no usable multiple of its
+    step.  It needs only the grid, so a caller can check before sampling."""
     deltas = sorted(float(d) for d in deltas)
     if len(deltas) < 4:
         raise ValueError("need at least 4 deltas for a slope regression")
-    grid = np.asarray(ensemble.grid, dtype=float)
+    grid = np.asarray(grid, dtype=float)
     steps = np.diff(grid)
     dt = steps[0]
     if not np.allclose(steps, dt, rtol=1e-9, atol=0.0):
@@ -133,6 +130,20 @@ def holder_slope(ensemble, deltas: Sequence[float],
         if not (1 <= k < grid.size):
             raise ValueError("delta %g not a usable multiple of the grid step" % d)
         lags.append(k)
+    return deltas, lags
+
+
+def holder_slope(ensemble, deltas: Sequence[float],
+                 threshold: float = 0.1) -> CheckReport:
+    """Per-path modulus maxima S(delta) = max_{|t-s|<=delta} |X(t)-X(s)|,
+    regressed log-log; metric = |median slope - hHat|.
+
+    The 0.1 default tolerance absorbs the |log delta|^{1/alpha+1/2+eps}
+    factor in the true modulus, which biases the empirical slope slightly
+    below hHat at desk-scale resolutions.
+    """
+    deltas, lags = holder_lags(ensemble.grid, deltas)
+    grid = np.asarray(ensemble.grid, dtype=float)
 
     log_d = np.log(np.asarray(deltas))
     slopes = []

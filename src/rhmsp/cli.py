@@ -109,8 +109,9 @@ def build_quad_config(cfg: Dict[str, str]) -> QuadratureConfig:
         raise CliError("bad quadrature configuration: %s" % exc)
 
 
-def parse_grid(text: str) -> np.ndarray:
-    """``start:end:count`` with inclusive endpoints and `count` intervals."""
+def parse_grid(text: str, horizon: float) -> np.ndarray:
+    """``start:end:count`` with inclusive endpoints and `count` intervals,
+    ending within the horizon."""
     parts = text.split(":")
     if len(parts) != 3:
         raise CliError("grid must be start:end:count, got %r" % text)
@@ -121,6 +122,8 @@ def parse_grid(text: str) -> np.ndarray:
         raise CliError("grid must be start:end:count, got %r" % text)
     if count < 1 or not end > start:
         raise CliError("grid needs end > start and count >= 1")
+    if end > horizon:
+        raise CliError("grid leaves the horizon")
     return np.linspace(start, end, count + 1)
 
 
@@ -181,8 +184,8 @@ def write_report(report: analysis.CheckReport, out_dir: str, name: str,
 
 def _sample_grid_paths(spec: ProcessSpec, grid: np.ndarray, paths: int,
                       **lepage_options) -> lepage.PathEnsemble:
-    """`sample_paths` on a command-line grid; a grid that leaves the horizon
-    or a bad ensemble size is a usage error."""
+    """`sample_paths` on a command-line grid; a grid that does not start at
+    0 or a bad ensemble size is a usage error."""
     try:
         return sample_paths(spec, grid, paths, LePageConfig(**lepage_options))
     except ValueError as exc:
@@ -197,7 +200,7 @@ def cmd_simulate(args) -> int:
     cfg = resolve_config(args)
     spec = build_spec(cfg)
     seed = resolve_seed(args, cfg)
-    grid = parse_grid(args.grid)
+    grid = parse_grid(args.grid, spec.horizon)
     out = check_out_file(args.out, args.force)
     ens = _sample_grid_paths(spec, grid, args.paths, terms=args.terms, seed=seed)
     csv = lepage.ensemble_to_csv(ens)
@@ -266,7 +269,7 @@ def cmd_cf_check(args) -> int:
     qcfg = build_quad_config(cfg)
     seed = resolve_seed(args, cfg)
     out = check_out_dir(args.out, args.force)
-    grid = parse_grid(args.grid)
+    grid = parse_grid(args.grid, spec.horizon)
     if args.paths < 2:
         raise CliError("--paths must be at least 2: one path has no standard error")
     if args.points < 1:
@@ -353,12 +356,13 @@ def _localtime_checks(spec: ProcessSpec, grid: np.ndarray, t: float, bins: int,
     """Occupation histogram of one sampled path over [0, t], written to `out`
     as ``localtime.csv`` with its sidecar, and its mass-identity and
     occupation-residual reports, written there and returned."""
-    ens = _sample_grid_paths(spec, grid, 1, terms=terms, seed=seed)
-    path = localtime.ensemble_path(ens, 0)
     try:
-        est = localtime.occupation_histogram(path, t, bins)
+        localtime.check_histogram_window(grid, t, bins)
     except ValueError as exc:
         raise CliError(str(exc))
+    ens = _sample_grid_paths(spec, grid, 1, terms=terms, seed=seed)
+    path = localtime.ensemble_path(ens, 0)
+    est = localtime.occupation_histogram(path, t, bins)
     mass = float(np.sum(est.values) * est.bin_width)
     mass_report = analysis.CheckReport(
         "localtime_mass_identity", {"t": t, "bins": bins, "mass": mass},
@@ -391,7 +395,7 @@ def cmd_localtime(args) -> int:
     spec = build_spec(cfg)
     seed = resolve_seed(args, cfg)
     out = check_out_dir(args.out, args.force)
-    grid = parse_grid(args.grid)
+    grid = parse_grid(args.grid, spec.horizon)
     on_grid = np.flatnonzero(np.isclose(grid, args.t))
     if not on_grid.size:
         raise CliError("--t must lie on the grid")
@@ -436,16 +440,17 @@ def cmd_holder(args) -> int:
     spec = build_spec(cfg)
     seed = resolve_seed(args, cfg)
     out = check_out_dir(args.out, args.force)
-    grid = parse_grid(args.grid)
+    grid = parse_grid(args.grid, spec.horizon)
+    deltas = parse_floats(args.deltas, "deltas")
+    try:
+        analysis.holder_lags(grid, deltas)
+    except ValueError as exc:
+        raise CliError(str(exc))
     # tail compensation adds an independent normal per grid point; that white
     # noise is right for marginal laws but ruins path-regularity statistics
     ens = _sample_grid_paths(spec, grid, args.paths, terms=args.terms, seed=seed,
                             tail_compensation=False)
-    deltas = parse_floats(args.deltas, "deltas")
-    try:
-        report = analysis.holder_slope(ens, deltas, threshold=args.threshold)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    report = analysis.holder_slope(ens, deltas, threshold=args.threshold)
     lines = ["path,slope"]
     for j, s in enumerate(report.parameters["slopes"]):
         lines.append("%d,%.17g" % (j, s))

@@ -32,6 +32,7 @@ __all__ = [
     "SamplePath",
     "LocalTimeEstimate",
     "TestFunction",
+    "check_histogram_window",
     "occupation_histogram",
     "occupation_formula_check",
     "local_time_second_moment",
@@ -97,6 +98,21 @@ class TestFunction:
         return ((x >= self.p1) & (x < self.p2)).astype(float)
 
 
+def check_histogram_window(times, t: float, bin_count: int,
+                           start: float = 0.0) -> None:
+    """The argument checks of `occupation_histogram`, which need only the
+    path's time grid, so a caller can run them before sampling; raises
+    ValueError."""
+    if bin_count < 10:
+        raise ValueError("binCount must be >= 10")
+    if t not in times:
+        raise ValueError("t=%g is not on the path grid" % t)
+    if start not in times:
+        raise ValueError("start=%g is not on the path grid" % start)
+    if not start < t:
+        raise ValueError("need start < t")
+
+
 def occupation_histogram(path: SamplePath, t: float, bin_count: int,
                          start: float = 0.0) -> LocalTimeEstimate:
     """Histogram occupation-density estimate of the path over [start, t].
@@ -110,15 +126,8 @@ def occupation_histogram(path: SamplePath, t: float, bin_count: int,
     """
     t = float(t)
     start = float(start)
-    if bin_count < 10:
-        raise ValueError("binCount must be >= 10")
+    check_histogram_window(path.times, t, bin_count, start)
     times = np.asarray(path.times)
-    if t not in path.times:
-        raise ValueError("t=%g is not on the path grid" % t)
-    if start not in path.times:
-        raise ValueError("start=%g is not on the path grid" % start)
-    if not start < t:
-        raise ValueError("need start < t")
     sel = (times >= start) & (times < t)
     idx = np.nonzero(sel)[0]
     dts = np.diff(times)[idx]

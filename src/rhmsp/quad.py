@@ -356,8 +356,10 @@ def _adaptive_panels(f, bounds, rel_tol, abs_tol, max_depth,
         return stop.value
 
 
-def _aligned_panel_bounds(a, b, width):
-    """Panel bounds over [a, b] anchored at integer multiples of ``width``.
+def _aligned_panel_bounds_many(a, b, width):
+    """Panel bounds of every interval [a[j], b[j]], anchored at integer
+    multiples of the shared ``width``, as a list of arrays: a[j], the
+    multiples strictly inside, b[j].
 
     Trigonometric combinations |sum lambda_k e^{i nu_k x}|^alpha can have
     derivative kinks where the sum vanishes; for the dominant single-frequency
@@ -365,21 +367,9 @@ def _aligned_panel_bounds(a, b, width):
     Keeping kinks on panel *boundaries* (instead of interior points) is what
     keeps the Gauss-Kronrod error estimate honest, and the anchor at 0 makes
     the panel layout scale-covariant so that residual cusp errors cancel in
-    self-similarity ratios.
+    self-similarity ratios.  All intervals are laid out in one pass of array
+    arithmetic.
     """
-    k0 = math.floor(a / width) + 1
-    k1 = math.ceil(b / width) - 1
-    if k1 < k0:
-        return np.array([a, b])
-    inner = np.arange(k0, k1 + 1) * width
-    inner = inner[(inner > a * (1 + 1e-14) + 1e-300) & (inner < b * (1 - 1e-14))]
-    return np.concatenate([[a], inner, [b]])
-
-
-def _aligned_panel_bounds_many(a, b, width):
-    """`_aligned_panel_bounds` of every window [a[j], b[j]] sharing one
-    ``width``, as a list of arrays equal to the per-window ones bit for bit,
-    built with one pass of array arithmetic instead of one per window."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     k0 = np.floor(a / width).astype(np.int64) + 1
@@ -563,7 +553,8 @@ def _ramp(f, cutoff, sigma, panel_width, cfg, running):
         return f(y, 1.0 - (norm - _erf(z)) / (2.0 * norm))
 
     return _adaptive_panels(
-        integrand, _aligned_panel_bounds(cutoff, x2 + halfwidth, panel_width),
+        integrand,
+        _aligned_panel_bounds_many([cutoff], [x2 + halfwidth], panel_width)[0],
         0.5 * cfg.rel_tol, 0.5 * cfg.abs_tol, 24, external_value=running)
 
 
@@ -726,7 +717,7 @@ def _two_scale_tail(g, cutoff, sigma, panel_width, w_fast, slow, s, cfg,
     _, panel_s, reach_s = _window(slow[0], slow[-1], cfg.rel_tol)
     cutoff_s = max(r_end, reach_s)
     mv, me, n = _adaptive_panels(
-        fast_mean, _aligned_panel_bounds(r_end, cutoff_s, panel_s),
+        fast_mean, _aligned_panel_bounds_many([r_end], [cutoff_s], panel_s)[0],
         0.25 * cfg.rel_tol, 0.25 * cfg.abs_tol, _MAX_DEPTH,
         external_value=running + val)
     nev += n
@@ -786,8 +777,8 @@ def _half_line(g, s, singular_exponent, cfg: QuadratureConfig,
                 % (w_min, w_max, panels, _MAX_PANELS))
         edges = [a1, _SPLIT, cutoff] if a1 < _SPLIT else [a1, cutoff]
         bounds = np.concatenate(
-            [_aligned_panel_bounds(a, b, panel_width)[:-1]
-             for a, b in zip(edges[:-1], edges[1:])] + [[cutoff]])
+            [b[:-1] for b in _aligned_panel_bounds_many(
+                edges[:-1], edges[1:], panel_width)] + [[cutoff]])
     else:
         a1, cutoff = _SPLIT, 10.0 * _SPLIT
         bounds = _geometric_bounds(a1, cutoff)

@@ -19,11 +19,12 @@ from conftest import make_spec
 # ---------------------------------------------------------------------------
 
 def test_parse_grid():
-    g = parse_grid("0:1:4")
+    g = parse_grid("0:1:4", 4.0)
     assert np.allclose(g, [0.0, 0.25, 0.5, 0.75, 1.0])
-    for bad in ("0:1", "0:1:4:2", "a:1:4", "1:0:4", "0:1:0"):
+    assert parse_grid("0:4:2", 4.0)[-1] == 4.0
+    for bad in ("0:1", "0:1:4:2", "a:1:4", "1:0:4", "0:1:0", "0:4.5:3"):
         with pytest.raises(CliError):
-            parse_grid(bad)
+            parse_grid(bad, 4.0)
 
 
 def test_parse_floats():
@@ -214,7 +215,7 @@ def test_localtime_snaps_t_to_grid(tmp_path, capsys):
     (["localtime", "--grid", "0:1:4", "--m2", "0"], "error: --m2 widths need h > 0"),
     (["localtime", "--grid", "0:1:4", "--m2", "5"], "error: --m2 widths need h > 0"),
     (["localtime", "--grid", "0:1:4", "--m2", "abc"], "error: bad m2 window list: 'abc'"),
-    # the path-level checks reject these after sampling, before any write
+    # the grid-level checks of the path statistics reject these before sampling
     (["holder", "--deltas", "0.5"], "error: need at least 4 deltas"),
     # the default deltas reach 2^-9, finer than the grid step 1/64
     (["holder", "--grid", "0:1:64"], "error: delta 0.00195312 not a usable multiple"),
@@ -223,10 +224,17 @@ def test_localtime_snaps_t_to_grid(tmp_path, capsys):
     (["cf-check", "--paths", "1"], "error: --paths must be at least 2"),
     (["cf-check", "--points", "0"], "error: --points must be at least 1"),
 ])
-def test_rejected_command_leaves_no_out_dir(tmp_path, capsys, argv, message):
+def test_rejected_command_leaves_no_out_dir(tmp_path, capsys, monkeypatch,
+                                           argv, message):
+    # and samples no path: every rejection comes before sampling
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sample_paths reached")
+
+    monkeypatch.setattr(cli, "sample_paths", no_sampling)
     out = tmp_path / "results"
     assert run(argv + ["--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith(message)
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -192,15 +194,19 @@ def test_path_is_independent_of_path_count():
 
 
 def test_kernel_step_calls_per_path_are_one_per_block(monkeypatch):
+    # paths run on worker threads: count under a lock
     calls = {"step": 0, "eval_kernel": 0}
+    lock = threading.Lock()
     step = lepage.phase_step
 
     def counting_step(*args):
-        calls["step"] += 1
+        with lock:
+            calls["step"] += 1
         return step(*args)
 
     def no_eval_kernel(*args):
-        calls["eval_kernel"] += 1
+        with lock:
+            calls["eval_kernel"] += 1
         return eval_kernel(*args)
 
     monkeypatch.setattr(lepage, "phase_step", counting_step)
@@ -221,17 +227,63 @@ def test_grid_of_time_zero_only(default_spec):
         assert ens.paths.shape == (2, 1) and np.all(ens.paths == 0.0)
 
 
+def _use_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+
+
+def _record_pool_sizes(monkeypatch):
+    """The max_workers of every synthesis pool started from now on."""
+    sizes = []
+    pool = lepage.ThreadPoolExecutor
+
+    def sized_pool(max_workers):
+        sizes.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    monkeypatch.setattr(lepage, "ThreadPoolExecutor", sized_pool)
+    return sizes
+
+
 def test_singular_draw_raises(default_spec, monkeypatch):
+    # with three workers path 1 is drawn on a worker thread, not the first
+    _use_cpus(monkeypatch, 3)
     draw = lepage._draw_series
+    for singular_path in (0, 1):
+        def degenerate(seed, path, *args, singular_path=singular_path):
+            rng, xi, w = draw(seed, path, *args)
+            if path == singular_path:
+                xi[7] = 0.0
+            return rng, xi, w
 
-    def degenerate(*args):
-        rng, xi, w = draw(*args)
-        xi[7] = 0.0
-        return rng, xi, w
+        monkeypatch.setattr(lepage, "_draw_series", degenerate)
+        with pytest.raises(ValueError, match="kernel is singular at x = 0"):
+            sample_paths(default_spec, GRID, 4, LePageConfig(terms=100))
 
-    monkeypatch.setattr(lepage, "_draw_series", degenerate)
-    with pytest.raises(ValueError, match="kernel is singular at x = 0"):
-        sample_paths(default_spec, GRID, 2, LePageConfig(terms=100))
+
+@pytest.mark.parametrize("hurst", ["const:0.7", "sine:0.55,0.1,2,0.3"])
+@pytest.mark.parametrize("kernel", ["X", "Y", "F1"])
+def test_worker_count_does_not_change_the_bits(monkeypatch, kernel, hurst):
+    spec = make_spec(hurst=hurst, kernel=kernel)
+    grid = tuple(np.linspace(0.0, 1.0, 33))
+    sizes = _record_pool_sizes(monkeypatch)
+    for tail in (False, True):
+        cfg = LePageConfig(terms=200, seed=8, tail_compensation=tail)
+        for count in (2, 5):    # fewer and more paths than three workers
+            _use_cpus(monkeypatch, 1)
+            serial = sample_paths(spec, grid, count, cfg).paths
+            _use_cpus(monkeypatch, 3)
+            threaded = sample_paths(spec, grid, count, cfg).paths
+            assert sizes[-2:] == [1, min(count, 3)]
+            assert np.array_equal(serial, threaded)
+
+
+def test_worker_count_falls_back_to_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    sizes = _record_pool_sizes(monkeypatch)
+    sample_paths(make_spec(), GRID, 5, LePageConfig(terms=100, seed=8))
+    assert sizes == [2]
 
 
 # ---------------------------------------------------------------------------

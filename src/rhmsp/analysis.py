@@ -16,7 +16,6 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import integrate as _sciint
-from scipy import ndimage as _ndimage
 from scipy.special import gamma as _gamma_fn
 
 from .model import HurstFunction, KernelVariant, ProcessSpec, StabilityIndex
@@ -142,6 +141,8 @@ def holder_slope(ensemble, deltas: Sequence[float],
     factor in the true modulus, which biases the empirical slope slightly
     below hHat at desk-scale resolutions.
     """
+    from scipy import ndimage   # its only user; kept out of `import rhmsp`
+
     deltas, lags = holder_lags(ensemble.grid, deltas)
     grid = np.asarray(ensemble.grid, dtype=float)
 
@@ -152,8 +153,8 @@ def holder_slope(ensemble, deltas: Sequence[float],
         for k in lags:
             # sliding max/min with edge replication: edge windows see a subset
             # of the true values, so they never exceed a full interior window
-            mx = _ndimage.maximum_filter1d(row, size=k + 1, mode="nearest")
-            mn = _ndimage.minimum_filter1d(row, size=k + 1, mode="nearest")
+            mx = ndimage.maximum_filter1d(row, size=k + 1, mode="nearest")
+            mn = ndimage.minimum_filter1d(row, size=k + 1, mode="nearest")
             log_s.append(math.log(float(np.max(mx - mn))))
         slopes.append(float(np.polyfit(log_d, np.asarray(log_s), 1)[0]))
     median_slope = float(np.median(slopes))
@@ -486,6 +487,10 @@ def ft_check(h: float, t: float,
     if alpha is not None and h <= 1.0 / StabilityIndex(alpha).alpha:
         raise ValueError("h must exceed 1/alpha for the duality surrogate")
     u_grid = [float(u) for u in u_grid]
+    # u = t is the machine-degenerate point of the direct closed form
+    if not any(h <= 1.0 or u != t for u in u_grid):
+        raise ValueError("no u to check: the u grid is empty or, for h > 1, "
+                         "every u equals t")
     f = _ft_integrand(h, t)
 
     if h > 1.0:

@@ -553,6 +553,15 @@ def cmd_verify_all(args) -> int:
 # argument parser and dispatch
 # ---------------------------------------------------------------------------
 
+def finite(text: str) -> float:
+    """argparse type of a check's threshold or floor: a finite float, since
+    NaN fails every comparison and an infinite bound passes anything."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("must be finite, got %r" % text)
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # return exit code 2 through CliError
         raise CliError(message)
@@ -596,14 +605,14 @@ def build_parser() -> _Parser:
     p.add_argument("--center", type=float, default=0.5)
     p.add_argument("--spacings", default="0.0625,0.03125")
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--floor", type=float, default=0.5)
+    p.add_argument("--floor", type=finite, default=0.5)
     p.add_argument("--grad-tol", type=float, default=1e-4)
 
     p = sub.add_parser("localize", help="localizability error schedule")
     _add_common(p)
     p.add_argument("--t", type=float, default=0.5)
     p.add_argument("--deltas", default="0.1,0.01")
-    p.add_argument("--threshold", type=float, default=0.05)
+    p.add_argument("--threshold", type=finite, default=0.05)
 
     p = sub.add_parser("localtime", help="occupation histogram checks")
     _add_common(p)
@@ -614,7 +623,7 @@ def build_parser() -> _Parser:
     p.add_argument("--x", type=float, default=0.0)
     p.add_argument("--m2", default=None,
                    help="comma list of window widths for the m=2 moment")
-    p.add_argument("--residual-threshold", type=float, default=0.05)
+    p.add_argument("--residual-threshold", type=finite, default=0.05)
 
     p = sub.add_parser("ft-check", help="appendix Fourier-transform identity")
     _add_common(p)
@@ -629,7 +638,7 @@ def build_parser() -> _Parser:
     p.add_argument("--terms", type=int, default=1000)
     p.add_argument("--deltas", default="0.0625,0.03125,0.015625,0.0078125,"
                                        "0.00390625,0.001953125")
-    p.add_argument("--threshold", type=float, default=0.1)
+    p.add_argument("--threshold", type=finite, default=0.1)
 
     p = sub.add_parser("verify-all", help="run the acceptance suite")
     _add_common(p)

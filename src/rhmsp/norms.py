@@ -339,16 +339,49 @@ def _phase_samples(freqs: Sequence[float]) -> np.ndarray:
 # larger blocks run no faster and only raise the peak resident set
 _ENVELOPE_BLOCK = 1 << 16
 
+# Chebyshev coefficients of a computed phase mean level off at 1e-16 to 2e-15
+# of the largest (the summands cancel in G, then 4 096 to 2^17 are summed);
+# a trailing pair below this share is at that floor
+_ENVELOPE_CHOP = 64.0 * np.finfo(float).eps
+
+# the least factor by which doubling a level must cut an open row's trailing
+# coefficients: geometric decay that reaches the chop by 33 points cuts them
+# 50-fold from 5 to 9 points, while a phase mean with kinks (the positive
+# and negative parts of a gradient) levels off far above the chop
+_ENVELOPE_GAIN = 16.0
+
+
+def _lobatto_coefficients(v):
+    """Chebyshev coefficients, along the last axis, of the polynomial through
+    the values v at the Lobatto points cos(pi j / n), j = 0..n."""
+    n = v.shape[-1] - 1
+    c = np.fft.rfft(np.concatenate([v, v[..., -2:0:-1]], axis=-1), axis=-1).real / n
+    c[..., 0] *= 0.5
+    c[..., n] *= 0.5
+    return c
+
 
 def _mean_envelope(reduce, combos, y):
     """Phase mean, over the samples y, of ``reduce(*[frozen combos at x])``
     as a vectorized function of the tail nodes x.
 
     ``reduce`` must be positively homogeneous of degree alpha in a common
-    envelope factor.  When every term of every combination has the same
-    exponent p (constant H), the frozen combinations at x are x^{-p} times
-    those at x = 1, so the mean is evaluated once and scaled by
-    x^{-alpha p}.  Otherwise the nodes are streamed in blocks of about
+    envelope factor, so the mean is x^{-alpha p_min} Phi(ln x), where Phi
+    sees x only through the factors x^{-(p_k - p_min)}.  When every term of
+    every combination has the same exponent p (constant H), Phi is a
+    constant: the mean is evaluated once, at x = 1, and scaled by
+    x^{-alpha p}.
+
+    Otherwise Phi is smooth, and nearly flat when the exponents are close.
+    It is summed at nested Chebyshev-Lobatto points in ln x (5, 9, 17, ...)
+    on the span of one call's nodes, each level reusing the sums of the one
+    before, until every row's two trailing coefficients are within
+    ``_ENVELOPE_CHOP`` of its largest; the interpolant times
+    x^{-alpha p_min} is then the envelope.  Only levels with at most half
+    as many points as nodes are tried, the attempt ends at a level that
+    does not cut an open row's trailing pair ``_ENVELOPE_GAIN``-fold, and
+    the nodes are then summed directly, so a call costs at most 1.5 times
+    the direct sums.  The direct sums stream the nodes in blocks of about
     ``_ENVELOPE_BLOCK`` elements (one node at least), so memory never grows
     as nodes x samples; the phase factors are computed once either way.
     Combinations that are stacks of rows give a (rows, nodes) envelope,
@@ -358,16 +391,19 @@ def _mean_envelope(reduce, combos, y):
     p = np.concatenate([c.p for c in combos])
     lead = combos[0].lam.shape[:-1]
     osc = [c.phase_factors(y) for c in combos]
-    rows = ([[replace(c, lam=c.lam[i]) for c in combos] for i in range(lead[0])]
-            if lead else [combos])
 
-    def means(x):
+    def split(parts):
+        return ([[replace(c, lam=c.lam[i]) for c in parts] for i in range(lead[0])]
+                if lead else [parts])
+
+    def means(x, rows):
         out = [np.mean(reduce(*[c.combo_frozen(x, o) for c, o in zip(row, osc)]),
                        axis=-1) for row in rows]
         return np.stack(out) if lead else out[0]
 
+    rows = split(combos)
     if np.all(p == p[0]):
-        scale = means(np.ones(1))[..., 0]
+        scale = means(np.ones(1), rows)[..., 0]
         power = -alpha * float(p[0])
 
         def mean_env(x):
@@ -376,13 +412,52 @@ def _mean_envelope(reduce, combos, y):
         return mean_env
 
     block = max(1, _ENVELOPE_BLOCK // y.size)
+    p_min = float(np.min(p))
+    # Phi(ln x): the combinations with every exponent lowered by p_min
+    flat = split([replace(c, p=c.p - p_min) for c in combos])
+
+    def summed(x, rows):
+        out = np.empty(lead + (x.size,))
+        for i in range(0, x.size, block):
+            out[..., i:i + block] = means(x[i:i + block], rows)
+        return out
+
+    def interpolated(x):
+        """The interpolant of Phi times x^{-alpha p_min} at x, or None."""
+        t = np.log(x)
+        lo, hi = float(np.min(t)), float(np.max(t))
+        if not (np.all(np.isfinite(t)) and lo < hi):
+            return None
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        n, phi, last = 4, None, None     # 5 points, then 9, 17, ...
+        while 2 * (n + 1) <= x.size:
+            # level n keeps the points of level n / 2 at its even indices
+            j = np.arange(n + 1) if phi is None else np.arange(1, n, 2)
+            new = summed(np.exp(mid + half * np.cos(math.pi * j / n)), flat)
+            if phi is None:
+                phi = new
+            else:
+                merged = np.empty(lead + (n + 1,))
+                merged[..., ::2], merged[..., 1::2] = phi, new
+                phi = merged
+            c = _lobatto_coefficients(phi)
+            size = np.abs(c)
+            tail = np.maximum(size[..., -1], size[..., -2])
+            # a NaN fails both tests, so it ends in the direct sums
+            resolved = tail <= _ENVELOPE_CHOP * np.max(size, axis=-1)
+            if np.all(resolved):
+                return (np.polynomial.chebyshev.chebval(
+                    (t - mid) / half, np.moveaxis(c, -1, 0))
+                    * x ** (-alpha * p_min))
+            if last is not None and not np.all(resolved | (tail <= last / _ENVELOPE_GAIN)):
+                return None
+            n, last = 2 * n, tail
+        return None
 
     def mean_env(x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty(lead + (x.size,))
-        for i in range(0, x.size, block):
-            out[..., i:i + block] = means(x[i:i + block])
-        return out
+        out = interpolated(x)
+        return summed(x, rows) if out is None else out
     return mean_env
 
 

@@ -169,9 +169,11 @@ class OscillationHint:
         the integrand, in the integrand's shape (``(rows, n)`` for a stack
         of rows); used for the extreme tail where direct phase
         evaluation is no longer trustworthy.  The engine calls it with whole
-        arrays of tail nodes, so its cost must not grow as nodes x phase
-        samples: factor out a common envelope, or stream the nodes in
-        bounded blocks.
+        arrays of tail nodes (90 and more per pass), so its cost should not
+        grow as nodes x phase samples: factor out a common envelope, or
+        interpolate the smooth factor left after it from a few phase sums
+        (`norms._mean_envelope` takes Chebyshev points in ln x), and hold
+        memory to bounded blocks of nodes where each node is summed.
     fast_frequency, fast_mean, fast_leak: for an integrand |A + e^{i nu_bar
         x} S|^alpha whose frequencies cluster, the foot of the fast band (the
         frequencies below it are the beats of S), the vectorized mean M of

@@ -186,3 +186,8 @@ def test_ft_check_validation():
         ft_check(2.5, 1.0)
     with pytest.raises(ValueError):
         ft_check(1.5, -1.0)
+    # nothing left to check: every u is t in the direct branch, or no u at all
+    with pytest.raises(ValueError, match="no u to check"):
+        ft_check(1.5, 1.0, u_grid=(1.0,))
+    with pytest.raises(ValueError, match="no u to check"):
+        ft_check(0.8, 1.0, u_grid=(), alpha=1.5)

@@ -223,6 +223,15 @@ def test_localtime_snaps_t_to_grid(tmp_path, capsys):
     # one path has a NaN standard error, and no point checks nothing
     (["cf-check", "--paths", "1"], "error: --paths must be at least 2"),
     (["cf-check", "--points", "0"], "error: --points must be at least 1"),
+    # u = t is skipped in the direct branch, so nothing would be checked
+    (["ft-check", "--h", "1.5", "--t", "1", "--u", "1"], "error: no u to check"),
+    (["ft-check", "--h", "0.8", "--t", "1", "--u", ","], "error: no u to check"),
+    # NaN fails every comparison and an infinite bound passes anything
+    (["localize", "--threshold", "nan"], "error: argument --threshold: must be finite"),
+    (["holder", "--threshold", "inf"], "error: argument --threshold: must be finite"),
+    (["lnd", "--floor=-inf"], "error: argument --floor: must be finite"),
+    (["localtime", "--residual-threshold", "nan"],
+     "error: argument --residual-threshold: must be finite"),
 ])
 def test_rejected_command_leaves_no_out_dir(tmp_path, capsys, monkeypatch,
                                            argv, message):

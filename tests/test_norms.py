@@ -357,18 +357,92 @@ def test_distinct_exponent_envelope_streams_rows_exactly(monkeypatch):
         assert np.array_equal(env, want)
 
 
-def test_const_h_norm_freezes_the_combination_once(monkeypatch):
-    calls = []
+def _count_sums(monkeypatch):
+    """The list that `_Terms.combo_frozen` appends its node count to: one
+    entry per combination, row and block, one phase sum per node."""
+    sums = []
     frozen = norms._Terms.combo_frozen
 
     def counted(self, x, osc):
-        calls.append(np.size(x))
+        sums.append(np.size(x))
         return frozen(self, x, osc)
 
     monkeypatch.setattr(norms._Terms, "combo_frozen", counted)
+    return sums
+
+
+def test_const_h_norm_freezes_the_combination_once(monkeypatch):
+    calls = _count_sums(monkeypatch)
     value = norms._raw_norm_integral(make_spec(), (0.5, 0.51), (-1.0, 1.0), CFG)
     assert value > 0.0
     assert calls == [1]
+
+
+# sine, affine and logistic H; two and three times, incommensurate (2^17
+# phase samples) or not (4 096); a stack of three rows, whose gradient is
+# not taken
+@pytest.mark.parametrize("hurst,times,coeffs,direction", [
+    ("sine:0.5,0.1,1", (0.4, 0.4 + 1e-2 * math.sqrt(2.0)), (-1.0, 1.0), (1.0, -1.0)),
+    ("affine:0.5,0.03", (1.0, 1.1), (0.6, -0.7), (0.0, 1.0)),
+    ("logistic:0.47,0.68,2,2", (0.5, 0.5 + 0.03 * math.sqrt(2.0), 0.5 + 0.03 * math.sqrt(3.0)),
+     (0.3, -1.3, 1.0), (1.0, -1.0, 0.0)),
+    ("sine:0.5,0.1,1", (0.5, 0.52, 0.6),
+     [(0.3, -1.0, 0.5), (-1.0, 1.0, 0.0), (0.0, 2.0, -0.7)], None),
+])
+def test_interpolated_envelope_matches_the_direct_sums(monkeypatch, hurst, times,
+                                                       coeffs, direction):
+    spec = make_spec(hurst=hurst)
+    hints = _hints(monkeypatch, norms._raw_norm_integral, spec, times, coeffs, CFG)
+    if direction is not None:
+        hints += _hints(monkeypatch, norms._grad_component,
+                        spec, times, coeffs, direction, CFG)
+    s = spec.alpha.alpha * min(spec.hurst(t) for t in times)
+    rows = len(coeffs) if np.ndim(coeffs) > 1 else 1
+    sums = _count_sums(monkeypatch)
+    for k, hint in enumerate(hints):
+        # the span of the first pass past x1 of the one-scale tail: x1 is
+        # its cut-off (eight periods of the slowest frequency) times
+        # 1e6^{1/s}, s = alpha min H, below the cap 1e12 / w_max
+        freqs = hint.frequencies
+        x1 = min(16.0 * math.pi / freqs[0] * 1e6 ** (1.0 / s), 1e12 / freqs[-1])
+        x = np.geomspace(x1, x1 * 1e6 ** (1.0 / s), 90)
+        del sums[:]
+        got = hint.mean_envelope(x)
+        # the norm's reducer takes one combination, a gradient's part two
+        cost = sum(sums) / ((2 if k else 1) * rows)
+        # one node at a time is summed directly
+        want = np.concatenate([hint.mean_envelope(x[i:i + 1]) for i in range(x.size)],
+                              axis=-1)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        # the norm's phase mean is smooth and interpolated; an unresolved one
+        # (the gradient's parts have kinks) costs at most 1.5 direct sums
+        assert cost <= (33 if k == 0 else 1.5 * x.size)
+
+
+def test_sine_localizability_norm_sums_at_most_17_per_envelope_call(monkeypatch):
+    # the increments of `localizability_error` at delta = 1e-2, where the
+    # direct sums took one per node, 90 and more per call
+    calls = []
+    sums = _count_sums(monkeypatch)
+    envelope = norms._mean_envelope
+
+    def delimited(reduce, combos, y):
+        env = envelope(reduce, combos, y)
+
+        def mean_env(x):
+            del sums[:]
+            out = env(x)
+            calls.append((np.size(x), sum(sums)))
+            return out
+        return mean_env
+
+    monkeypatch.setattr(norms, "_mean_envelope", delimited)
+    spec = make_spec(hurst="sine:0.5,0.1,1")
+    t = 0.4718281828
+    for u in (0.25, 0.5, 1.0):
+        assert norms._raw_norm_integral(spec, (t, t + 1e-2 * u), (-1.0, 1.0), CFG) > 0.0
+    assert min(nodes for nodes, _ in calls) >= 90
+    assert max(cost for _, cost in calls) <= 17
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import ast
 import importlib
 import importlib.util
 import os
+import subprocess
 import sys
 import threading
 
@@ -82,3 +83,14 @@ def test_traced_functions_run_on_the_main_thread(monkeypatch):
     assert {"sample_paths", "_tail_variance_profile", "eval_kernel"} <= names
     assert all(thread is threading.main_thread() for _, thread in calls)
     assert threading.main_thread() not in step_threads    # the paths did go to workers
+
+
+def test_import_leaves_scipy_ndimage_out():
+    # only `analysis.holder_slope` uses scipy.ndimage, and loading it adds
+    # about 0.05 s to every process start, so it is imported there
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rhmsp.__file__)))
+    code = "import sys, rhmsp; print('scipy.ndimage' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "False"

@@ -402,6 +402,8 @@ def lnd_study(spec: ProcessSpec, center: float, spacings: Sequence[float],
     if center <= 0.0:
         raise ValueError("center must be positive (LND domain is [eps, T])")
     spacings = [float(s) for s in spacings]
+    if not spacings:
+        raise ValueError("need at least one spacing")
     if any(s <= 0.0 for s in spacings):
         raise ValueError("spacings must be positive")
     if center + (n - 1) * max(spacings) > spec.horizon:

@@ -4,7 +4,13 @@ Subcommands map one-to-one onto the library suites; every run resolves a flat
 key=value configuration (file, then ``--set`` overrides), prints one
 PASS/FAIL line per check, and writes CSV artifacts with JSON sidecars that
 embed the full resolved configuration.  Exit codes: 0 all checks pass,
-1 at least one check failed, 2 usage or configuration error.
+1 at least one check failed, 2 a usage error, any library ``ValueError`` or a
+quadrature that cannot certify its result.
+
+Each ``cmd_*`` only computes: it puts its artifacts in the ``files`` dict
+(path -> text) that `run` passes in.  `run` alone turns an error into exit 2
+and writes the files, once the command has returned, so a command that exits
+2 writes nothing.
 """
 
 from __future__ import annotations
@@ -94,19 +100,9 @@ def resolve_seed(args, cfg: Dict[str, str]) -> int:
     return 42
 
 
-def build_spec(cfg: Dict[str, str]) -> ProcessSpec:
-    try:
-        return ProcessSpec.from_config(cfg)
-    except (ValueError, KeyError) as exc:
-        raise CliError("bad process configuration: %s" % exc)
-
-
 def build_quad_config(cfg: Dict[str, str]) -> QuadratureConfig:
-    try:
-        return QuadratureConfig(rel_tol=float(cfg["rel_tol"]),
-                                abs_tol=float(cfg["abs_tol"]))
-    except ValueError as exc:
-        raise CliError("bad quadrature configuration: %s" % exc)
+    return QuadratureConfig(rel_tol=float(cfg["rel_tol"]),
+                            abs_tol=float(cfg["abs_tol"]))
 
 
 def parse_grid(text: str, horizon: float) -> np.ndarray:
@@ -135,8 +131,8 @@ def parse_floats(text: str, what: str) -> List[float]:
 
 
 def check_out_dir(path: str, force: bool) -> str:
-    """Check an output directory; it is created by the first `write_text`,
-    so a command rejected before then leaves nothing behind."""
+    """Check an output directory; `run` creates it with the first artifact,
+    so a rejected command leaves nothing behind."""
     if os.path.isfile(path):
         raise CliError("--out %s is a file; expected a directory" % path)
     if os.path.isdir(path) and os.listdir(path) and not force:
@@ -145,18 +141,12 @@ def check_out_dir(path: str, force: bool) -> str:
 
 
 def check_out_file(path: str, force: bool) -> str:
-    """Check an output file; `write_text` creates its directory."""
+    """Check an output file; `run` creates its directory."""
     if os.path.isdir(path):
         raise CliError("--out %s is a directory; expected a file" % path)
     if os.path.exists(path) and not force:
         raise CliError("--out %s exists (use --force to overwrite)" % path)
     return path
-
-
-def write_text(path: str, text: str) -> None:
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(text)
 
 
 def sidecar_json(provenance: Dict[str, object]) -> str:
@@ -169,41 +159,30 @@ def emit(report: analysis.CheckReport) -> None:
              report.metric, report.direction, report.threshold))
 
 
-def write_report(report: analysis.CheckReport, out_dir: str, name: str,
-                 config: Dict[str, str],
-                 extra_artifacts: Sequence[str] = ()) -> None:
-    """Write `report` as ``<name>.json`` with the run's provenance as its
-    ``config`` parameter."""
+def add_report(files: Dict[str, str], report: analysis.CheckReport,
+               out_dir: str, name: str, config: Dict[str, str],
+               extra_artifacts: Sequence[str] = ()) -> None:
+    """Put `report` in `files` as ``<name>.json`` with the run's provenance
+    as its ``config`` parameter."""
     path = os.path.join(out_dir, name + ".json")
     # record artifacts relative to the report directory so identical runs
     # into different --out roots stay byte-identical
     rel = [os.path.relpath(p, out_dir) for p in list(extra_artifacts) + [path]]
-    rep = report.with_parameters(config=config).with_artifacts(rel)
-    write_text(path, rep.to_json())
-
-
-def _sample_grid_paths(spec: ProcessSpec, grid: np.ndarray, paths: int,
-                      **lepage_options) -> lepage.PathEnsemble:
-    """`sample_paths` on a command-line grid; a grid that does not start at
-    0 or a bad ensemble size is a usage error."""
-    try:
-        return sample_paths(spec, grid, paths, LePageConfig(**lepage_options))
-    except ValueError as exc:
-        raise CliError(str(exc))
+    files[path] = report.with_parameters(config=config).with_artifacts(rel).to_json()
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, files: Dict[str, str]) -> int:
     cfg = resolve_config(args)
-    spec = build_spec(cfg)
+    spec = ProcessSpec.from_config(cfg)
     seed = resolve_seed(args, cfg)
     grid = parse_grid(args.grid, spec.horizon)
     out = check_out_file(args.out, args.force)
-    ens = _sample_grid_paths(spec, grid, args.paths, terms=args.terms, seed=seed)
-    csv = lepage.ensemble_to_csv(ens)
+    ens = sample_paths(spec, grid, args.paths,
+                       LePageConfig(terms=args.terms, seed=seed))
     meta = {
         "config": {**cfg, "seed": str(seed)},
         "grid": args.grid,
@@ -213,21 +192,22 @@ def cmd_simulate(args) -> int:
         "truncation_diagnostic": lepage.truncation_diagnostic(
             spec.alpha, args.terms),
     }
-    write_text(out, csv)
-    write_text(os.path.splitext(out)[0] + ".json", sidecar_json(meta))
+    files[out] = lepage.ensemble_to_csv(ens)
+    files[os.path.splitext(out)[0] + ".json"] = sidecar_json(meta)
     print("PASS simulate: wrote %d paths x %d times to %s"
           % (args.paths, grid.size, out))
     return 0
 
 
 def _random_points(grid: np.ndarray, count: int, seed: int) -> List[FddPoint]:
-    """Deterministic FddPoints with times on the grid (excluding t=0)."""
+    """Deterministic FddPoints with times on the grid (excluding t=0); each
+    has one to three distinct times, at most as many as the grid has."""
     rng = np.random.Generator(np.random.Philox(
         key=np.array([seed, 0xC0FFEE], dtype=np.uint64)))
     usable = [t for t in grid if t > 0.0]
     points = []
     for _ in range(count):
-        m = int(rng.integers(1, 4))
+        m = int(rng.integers(1, min(4, len(usable) + 1)))
         times = sorted(rng.choice(len(usable), size=m, replace=False))
         coeffs = rng.uniform(-1.0, 1.0, size=m)
         coeffs = np.where(np.abs(coeffs) < 0.2, np.sign(coeffs) * 0.2 + 0.0,
@@ -263,9 +243,9 @@ def _cf_check(spec: ProcessSpec, ens: lepage.PathEnsemble,
     return report, "\n".join(lines) + "\n"
 
 
-def cmd_cf_check(args) -> int:
+def cmd_cf_check(args, files: Dict[str, str]) -> int:
     cfg = resolve_config(args)
-    spec = build_spec(cfg)
+    spec = ProcessSpec.from_config(cfg)
     qcfg = build_quad_config(cfg)
     seed = resolve_seed(args, cfg)
     out = check_out_dir(args.out, args.force)
@@ -274,93 +254,84 @@ def cmd_cf_check(args) -> int:
         raise CliError("--paths must be at least 2: one path has no standard error")
     if args.points < 1:
         raise CliError("--points must be at least 1")
-    ens = _sample_grid_paths(spec, grid, args.paths, terms=args.terms, seed=seed)
+    ens = sample_paths(spec, grid, args.paths,
+                       LePageConfig(terms=args.terms, seed=seed))
     report, csv_text = _cf_check(spec, ens, _random_points(grid, args.points, seed),
                                  qcfg)
     csv_path = os.path.join(out, "cf_points.csv")
-    write_text(csv_path, csv_text)
-    write_report(report, out, "cf_check", {**cfg, "seed": str(seed)}, [csv_path])
+    files[csv_path] = csv_text
+    add_report(files, report, out, "cf_check", {**cfg, "seed": str(seed)},
+               [csv_path])
     emit(report)
     return 0 if report.passed else 1
 
 
-def cmd_norm(args) -> int:
+def cmd_norm(args, files: Dict[str, str]) -> int:
     cfg = resolve_config(args)
-    spec = build_spec(cfg)
+    spec = ProcessSpec.from_config(cfg)
     qcfg = build_quad_config(cfg)
     times = parse_floats(args.times, "times")
     coeffs = parse_floats(args.coeffs, "coeffs")
     if len(times) != len(coeffs):
         raise CliError("--times and --coeffs lengths differ")
     out = check_out_dir(args.out, args.force) if args.out else None
-    try:
-        point = FddPoint(times=tuple(times), coeffs=tuple(coeffs))
-        value = scale_norm(spec, point, qcfg)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    value = scale_norm(spec, FddPoint(times=tuple(times), coeffs=tuple(coeffs)),
+                       qcfg)
     cf = math.exp(-value ** spec.alpha.alpha)
     print("PASS norm: scale_norm=%.12g exact_cf=%.12g" % (value, cf))
     if out:
         payload = {"config": cfg, "times": times, "coeffs": coeffs,
                    "scale_norm": value, "exact_cf": cf}
-        write_text(os.path.join(out, "norm.json"), sidecar_json(payload))
+        files[os.path.join(out, "norm.json")] = sidecar_json(payload)
     return 0
 
 
-def cmd_lnd(args) -> int:
+def cmd_lnd(args, files: Dict[str, str]) -> int:
     cfg = resolve_config(args)
-    spec = build_spec(cfg)
+    spec = ProcessSpec.from_config(cfg)
     qcfg = build_quad_config(cfg)
     out = check_out_dir(args.out, args.force)
     spacings = parse_floats(args.spacings, "spacings")
-    try:
-        report = analysis.lnd_study(
-            spec, args.center, spacings, args.n, cfg=qcfg,
-            opt_cfg=OptimizerConfig(grad_tol=args.grad_tol),
-            floor_value=args.floor)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    report = analysis.lnd_study(
+        spec, args.center, spacings, args.n, cfg=qcfg,
+        opt_cfg=OptimizerConfig(grad_tol=args.grad_tol), floor_value=args.floor)
     lines = ["kernel,spacing,ratio,hy_chain_bound"]
     for row in report.parameters["table"]:
         lines.append("%s,%.17g,%.17g,%s" % (
             row["kernel"], row["spacing"], row["ratio"],
             "%.17g" % row["hy_chain_bound"] if "hy_chain_bound" in row else ""))
     csv_path = os.path.join(out, "lnd_ratios.csv")
-    write_text(csv_path, "\n".join(lines) + "\n")
-    write_report(report, out, "lnd_study", cfg, [csv_path])
+    files[csv_path] = "\n".join(lines) + "\n"
+    add_report(files, report, out, "lnd_study", cfg, [csv_path])
     emit(report)
     return 0 if report.passed else 1
 
 
-def cmd_localize(args) -> int:
+def cmd_localize(args, files: Dict[str, str]) -> int:
     cfg = resolve_config(args)
-    spec = build_spec(cfg)
+    spec = ProcessSpec.from_config(cfg)
     qcfg = build_quad_config(cfg)
     out = check_out_dir(args.out, args.force)
     deltas = parse_floats(args.deltas, "deltas")
-    try:
-        reports = [analysis.localizability_error(
-            spec, args.t, delta, cfg=qcfg, threshold=args.threshold)
-            for delta in deltas]
-    except ValueError as exc:
-        raise CliError(str(exc))
+    if not deltas:
+        raise CliError("no delta to check")
+    reports = [analysis.localizability_error(
+        spec, args.t, delta, cfg=qcfg, threshold=args.threshold)
+        for delta in deltas]
     for i, report in enumerate(reports):
-        write_report(report, out, "localize_%d" % i, cfg)
+        add_report(files, report, out, "localize_%d" % i, cfg)
         emit(report)
     return 0 if all(r.passed for r in reports) else 1
 
 
 def _localtime_checks(spec: ProcessSpec, grid: np.ndarray, t: float, bins: int,
                       terms: int, seed: int, threshold: float, out: str,
-                      provenance: Dict[str, str]):
-    """Occupation histogram of one sampled path over [0, t], written to `out`
-    as ``localtime.csv`` with its sidecar, and its mass-identity and
-    occupation-residual reports, written there and returned."""
-    try:
-        localtime.check_histogram_window(grid, t, bins)
-    except ValueError as exc:
-        raise CliError(str(exc))
-    ens = _sample_grid_paths(spec, grid, 1, terms=terms, seed=seed)
+                      provenance: Dict[str, str], files: Dict[str, str]):
+    """Occupation histogram of one sampled path over [0, t], put in `files`
+    under `out` as ``localtime.csv`` with its sidecar, and its mass-identity
+    and occupation-residual reports, put there and returned."""
+    localtime.check_histogram_window(grid, t, bins)
+    ens = sample_paths(spec, grid, 1, LePageConfig(terms=terms, seed=seed))
     path = localtime.ensemble_path(ens, 0)
     est = localtime.occupation_histogram(path, t, bins)
     mass = float(np.sum(est.values) * est.bin_width)
@@ -379,20 +350,21 @@ def _localtime_checks(spec: ProcessSpec, grid: np.ndarray, t: float, bins: int,
     for x, v in zip(est.centers, est.values):
         lines.append("%.17g,%.17g" % (x, v))
     csv_path = os.path.join(out, "localtime.csv")
-    write_text(csv_path, "\n".join(lines) + "\n")
-    write_text(os.path.join(out, "localtime.json"), sidecar_json({
+    files[csv_path] = "\n".join(lines) + "\n"
+    files[os.path.join(out, "localtime.json")] = sidecar_json({
         "config": provenance,
         "window": [0.0, t], "bin_width": est.bin_width,
         "path_dt": est.path_dt, "source_path": 0,
-    }))
-    write_report(mass_report, out, "mass_identity", provenance, [csv_path])
-    write_report(occ_report, out, "occupation_residual", provenance, [csv_path])
+    })
+    add_report(files, mass_report, out, "mass_identity", provenance, [csv_path])
+    add_report(files, occ_report, out, "occupation_residual", provenance,
+               [csv_path])
     return mass_report, occ_report
 
 
-def cmd_localtime(args) -> int:
+def cmd_localtime(args, files: Dict[str, str]) -> int:
     cfg = resolve_config(args)
-    spec = build_spec(cfg)
+    spec = ProcessSpec.from_config(cfg)
     seed = resolve_seed(args, cfg)
     out = check_out_dir(args.out, args.force)
     grid = parse_grid(args.grid, spec.horizon)
@@ -400,64 +372,60 @@ def cmd_localtime(args) -> int:
     if not on_grid.size:
         raise CliError("--t must lie on the grid")
     t = float(grid[on_grid[0]])   # the grid point itself, which the histogram needs
-    hs = parse_floats(args.m2, "m2 window") if args.m2 else []
+    hs = [] if args.m2 is None else parse_floats(args.m2, "m2 window")
+    if args.m2 is not None and not hs:
+        raise CliError("no m2 width to check")
     if not all(h > 0.0 and t + h <= spec.horizon for h in hs):
         raise CliError("--m2 widths need h > 0 and t + h <= horizon %g"
                        % spec.horizon)
     reports = _localtime_checks(spec, grid, t, args.bins, args.terms, seed,
                                 args.residual_threshold, out,
-                                {**cfg, "seed": str(seed)})
+                                {**cfg, "seed": str(seed)}, files)
     for report in reports:
         emit(report)
     ok = all(r.passed for r in reports)
-    if args.m2:
+    if hs:
         rows = ["h,m2"]
         for hwin in hs:
             m2 = localtime.local_time_second_moment(spec, t, hwin, args.x)
             rows.append("%.17g,%.17g" % (hwin, m2))
             print("PASS localtime_m2: h=%g m2=%.6g" % (hwin, m2))
-        write_text(os.path.join(out, "m2.csv"), "\n".join(rows) + "\n")
+        files[os.path.join(out, "m2.csv")] = "\n".join(rows) + "\n"
     return 0 if ok else 1
 
 
-def cmd_ft_check(args) -> int:
+def cmd_ft_check(args, files: Dict[str, str]) -> int:
     cfg = resolve_config(args)
     out = check_out_dir(args.out, args.force)
     u_grid = (parse_floats(args.u, "u grid") if args.u
               else list(analysis.DEFAULT_U_GRID))
-    try:
-        report = analysis.ft_check(args.h, args.t, u_grid,
-                                   alpha=float(cfg["alpha"]))
-    except ValueError as exc:
-        raise CliError(str(exc))
-    write_report(report, out, "ft_check", cfg)
+    report = analysis.ft_check(args.h, args.t, u_grid, alpha=float(cfg["alpha"]))
+    add_report(files, report, out, "ft_check", cfg)
     emit(report)
     return 0 if report.passed else 1
 
 
-def cmd_holder(args) -> int:
+def cmd_holder(args, files: Dict[str, str]) -> int:
     cfg = resolve_config(args)
-    spec = build_spec(cfg)
+    spec = ProcessSpec.from_config(cfg)
     seed = resolve_seed(args, cfg)
     out = check_out_dir(args.out, args.force)
     grid = parse_grid(args.grid, spec.horizon)
     deltas = parse_floats(args.deltas, "deltas")
-    try:
-        analysis.holder_lags(grid, deltas)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    analysis.holder_lags(grid, deltas)
     # tail compensation adds an independent normal per grid point; that white
     # noise is right for marginal laws but ruins path-regularity statistics
-    ens = _sample_grid_paths(spec, grid, args.paths, terms=args.terms, seed=seed,
-                            tail_compensation=False)
+    ens = sample_paths(spec, grid, args.paths,
+                       LePageConfig(terms=args.terms, seed=seed,
+                                    tail_compensation=False))
     report = analysis.holder_slope(ens, deltas, threshold=args.threshold)
     lines = ["path,slope"]
     for j, s in enumerate(report.parameters["slopes"]):
         lines.append("%d,%.17g" % (j, s))
     csv_path = os.path.join(out, "slopes.csv")
-    write_text(csv_path, "\n".join(lines) + "\n")
-    write_report(report, out, "holder_slope", {**cfg, "seed": str(seed)},
-                 [csv_path])
+    files[csv_path] = "\n".join(lines) + "\n"
+    add_report(files, report, out, "holder_slope", {**cfg, "seed": str(seed)},
+               [csv_path])
     emit(report)
     return 0 if report.passed else 1
 
@@ -466,9 +434,9 @@ def cmd_holder(args) -> int:
 # verify-all: the CI entry point, dependency-ordered
 # ---------------------------------------------------------------------------
 
-def cmd_verify_all(args) -> int:
+def cmd_verify_all(args, files: Dict[str, str]) -> int:
     cfg = resolve_config(args)
-    spec = build_spec(cfg)
+    spec = ProcessSpec.from_config(cfg)
     seed = resolve_seed(args, cfg)
     out = check_out_dir(args.out, args.force)
     qcfg = build_quad_config(cfg)
@@ -476,7 +444,7 @@ def cmd_verify_all(args) -> int:
     reports: List[analysis.CheckReport] = []
 
     def record(report: analysis.CheckReport, sub_dir: str, name: str) -> None:
-        write_report(report, os.path.join(out, sub_dir), name, provenance)
+        add_report(files, report, os.path.join(out, sub_dir), name, provenance)
         reports.append(report)
 
     # 1. series constants against the reflection-formula identity
@@ -518,14 +486,13 @@ def cmd_verify_all(args) -> int:
     # 6. simulation shape + determinism (depends on lepage)
     grid = np.linspace(0.0, 1.0, 129)
     ens = sample_paths(spec, grid, 100, LePageConfig(terms=400, seed=seed))
-    csv = lepage.ensemble_to_csv(ens)
     sim_dir = os.path.join(out, "simulate")
-    write_text(os.path.join(sim_dir, "paths.csv"), csv)
-    write_text(os.path.join(sim_dir, "paths.json"), sidecar_json({
+    files[os.path.join(sim_dir, "paths.csv")] = lepage.ensemble_to_csv(ens)
+    files[os.path.join(sim_dir, "paths.json")] = sidecar_json({
         "config": provenance, "paths": 100, "terms": 400,
         "grid": "0:1:128",
         "truncation_diagnostic": lepage.truncation_diagnostic(spec.alpha, 400),
-    }))
+    })
 
     # 7. empirical vs exact characteristic function (depends on 6 + norms)
     report, _ = _cf_check(spec, ens, _random_points(grid, 5, seed), qcfg)
@@ -534,7 +501,8 @@ def cmd_verify_all(args) -> int:
     # 8. local-time mass identity + occupation residual (depends on 6)
     lt_grid = np.linspace(0.0, 1.0, 4097)
     reports.extend(_localtime_checks(spec, lt_grid, 1.0, 64, 400, seed, 0.05,
-                                     os.path.join(out, "localtime"), provenance))
+                                     os.path.join(out, "localtime"), provenance,
+                                     files))
 
     # 9. Hölder slope on a fine uncompensated ensemble (depends on 6); the
     # tail-compensation white noise would flatten the modulus regression
@@ -554,8 +522,9 @@ def cmd_verify_all(args) -> int:
 # ---------------------------------------------------------------------------
 
 def finite(text: str) -> float:
-    """argparse type of a check's threshold or floor: a finite float, since
-    NaN fails every comparison and an infinite bound passes anything."""
+    """argparse type of a check's threshold or floor, or of a level: a finite
+    float, since NaN fails every comparison and an infinite bound passes
+    anything."""
     value = float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError("must be finite, got %r" % text)
@@ -620,7 +589,7 @@ def build_parser() -> _Parser:
     p.add_argument("--terms", type=int, default=1000)
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--bins", type=int, default=64)
-    p.add_argument("--x", type=float, default=0.0)
+    p.add_argument("--x", type=finite, default=0.0)
     p.add_argument("--m2", default=None,
                    help="comma list of window widths for the m=2 moment")
     p.add_argument("--residual-threshold", type=finite, default=0.05)
@@ -660,15 +629,22 @@ COMMANDS = tuple(_DISPATCH)
 
 
 def run(argv: Sequence[str]) -> int:
+    """Run one command; write its files only if it returned 0 or 1."""
     parser = build_parser()
+    files: Dict[str, str] = {}
     try:
         args = parser.parse_args(list(argv))
         if not getattr(args, "command", None):
             raise CliError("expected one of: %s" % ", ".join(COMMANDS))
-        return _DISPATCH[args.command](args)
-    except (CliError, QuadratureError) as exc:
+        code = _DISPATCH[args.command](args, files)
+    except (CliError, QuadratureError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    for path, text in files.items():
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        with open(path, "w") as fh:
+            fh.write(text)
+    return code
 
 
 def main() -> None:

@@ -251,6 +251,8 @@ def local_time_second_moment(spec: ProcessSpec, t: float, h: float,
         raise ValueError("h must be positive")
     if not (0.0 <= t and t + h <= spec.horizon):
         raise ValueError("[t, t+h] leaves the horizon")
+    if not math.isfinite(x):
+        raise ValueError("x must be finite")
 
     def sections(s1, s2, coeffs):
         """||c1 f(s1) + c2 f(s2)||^alpha for one pair (c1, c2), or for each

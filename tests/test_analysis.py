@@ -157,6 +157,9 @@ def test_lnd_study_validation(default_spec):
         lnd_study(default_spec, 0.5, [0.1], 5)
     with pytest.raises(ValueError):
         lnd_study(default_spec, 0.5, [10.0], 2)
+    # checked before max() sees the empty list
+    with pytest.raises(ValueError, match="need at least one spacing"):
+        lnd_study(default_spec, 0.5, [], 2)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from rhmsp import cli
 from rhmsp.cli import CliError, load_config, parse_floats, parse_grid, run
 from rhmsp.lepage import LePageConfig, sample_paths
 from rhmsp.norms import FddPoint
-from rhmsp.quad import QuadratureConfig
+from rhmsp.quad import QuadratureConfig, QuadratureError
 
 from conftest import make_spec
 
@@ -232,6 +232,11 @@ def test_localtime_snaps_t_to_grid(tmp_path, capsys):
     (["lnd", "--floor=-inf"], "error: argument --floor: must be finite"),
     (["localtime", "--residual-threshold", "nan"],
      "error: argument --residual-threshold: must be finite"),
+    (["localtime", "--m2", "0.05", "--x", "nan"], "error: argument --x: must be finite"),
+    # an empty list would check nothing and pass
+    (["localize", "--deltas", ""], "error: no delta to check"),
+    (["lnd", "--spacings", ""], "error: need at least one spacing"),
+    (["localtime", "--grid", "0:1:4", "--m2", ","], "error: no m2 width to check"),
 ])
 def test_rejected_command_leaves_no_out_dir(tmp_path, capsys, monkeypatch,
                                            argv, message):
@@ -261,6 +266,11 @@ def test_rejected_command_leaves_no_out_dir(tmp_path, capsys, monkeypatch,
     # H = 0.999 walks the singular head down to where x^{-p} overflows
     (["norm", "--times", "0.5,1", "--coeffs", "1,-1", "--set", "hurst=const:0.999"],
      "results", "error: scale_norm quadrature failed"),
+    # a library ValueError after the first sections ran: none is written
+    (["verify-all", "--set", "horizon=0.5"], "results",
+     "error: t + delta*max(u) leaves the horizon"),
+    (["verify-all", "--set", "hurst=const:0.1"], "results",
+     "error: tail compensation needs 2*min H + 1 > 2/alpha"),
 ])
 def test_uncertifiable_result_is_one_error_line(tmp_path, capsys, argv, out_name,
                                                 message):
@@ -268,6 +278,26 @@ def test_uncertifiable_result_is_one_error_line(tmp_path, capsys, argv, out_name
     err = capsys.readouterr().err
     assert err.startswith(message) and err.count("\n") == 1
     assert not (tmp_path / "results").exists()
+
+
+def test_uncertifiable_m2_leaves_no_out_dir(tmp_path, capsys, monkeypatch):
+    # the histogram checks ran and passed, but the command exits 2
+    def uncertifiable(*args):
+        raise QuadratureError("quadrature did not converge")
+
+    monkeypatch.setattr(cli.localtime, "local_time_second_moment", uncertifiable)
+    out = tmp_path / "results"
+    assert run(["localtime", "--grid", "0:1:64", "--terms", "120", "--m2", "0.05",
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: quadrature did not converge\n"
+    assert not out.exists()
+
+
+def test_cf_check_on_a_two_point_grid(tmp_path, capsys):
+    # a point may not draw more distinct times than the grid has
+    assert run(["cf-check", "--grid", "0:1:2", "--paths", "4", "--terms", "200",
+                "--points", "3", "--out", str(tmp_path / "cf")]) in (0, 1)
+    assert capsys.readouterr().err == ""
 
 
 def test_rejected_simulate_leaves_no_parent_dir(tmp_path, capsys):

@@ -100,6 +100,9 @@ def test_m2_validation(default_spec):
         local_time_second_moment(default_spec, 0.5, -0.01, 0.0)
     with pytest.raises(ValueError):
         local_time_second_moment(default_spec, 3.999, 0.01, 0.0)
+    for x in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="x must be finite"):
+            local_time_second_moment(default_spec, 0.5, 0.01, x)
 
 
 def test_m2_prices_six_quadratures_and_44_sections(default_spec, monkeypatch):

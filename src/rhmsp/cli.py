@@ -141,9 +141,11 @@ def check_out_dir(path: str, force: bool) -> str:
 
 
 def check_out_file(path: str, force: bool) -> str:
-    """Check an output file; `run` creates its directory."""
+    """Check an output file other than its .json sidecar; `run` creates its directory."""
     if os.path.isdir(path):
         raise CliError("--out %s is a directory; expected a file" % path)
+    if os.path.splitext(path)[1] == ".json":
+        raise CliError("--out %s is its own JSON sidecar; name it .csv" % path)
     if os.path.exists(path) and not force:
         raise CliError("--out %s exists (use --force to overwrite)" % path)
     return path

@@ -150,6 +150,17 @@ def test_lnd_study_n2_ratio_identically_one(default_spec):
         assert row["ratio"] == 1.0
 
 
+def test_lnd_study_n3_certifies_at_const_h_one_half(default_spec):
+    # a BFGS gradient on the way, at coeffs (0.069, -1.069, 1), did not
+    # certify while the derivative's positive and negative parts were
+    # integrated apart
+    rep = lnd_study(default_spec, 0.5, [2.0 ** -5], 3, cfg=QuadratureConfig(rel_tol=1e-5),
+                    opt_cfg=OptimizerConfig(grad_tol=2e-4))
+    x_row, y_row = rep.parameters["table"]
+    assert rep.passed
+    assert x_row["ratio"] == pytest.approx(y_row["ratio"], rel=1e-6)
+
+
 def test_lnd_study_validation(default_spec):
     with pytest.raises(ValueError):
         lnd_study(default_spec, 0.0, [0.1], 2)

@@ -237,6 +237,8 @@ def test_localtime_snaps_t_to_grid(tmp_path, capsys):
     (["localize", "--deltas", ""], "error: no delta to check"),
     (["lnd", "--spacings", ""], "error: need at least one spacing"),
     (["localtime", "--grid", "0:1:4", "--m2", ","], "error: no m2 width to check"),
+    # the path CSV would be overwritten by its sidecar, results.json
+    (["simulate"], "error: --out"),
 ])
 def test_rejected_command_leaves_no_out_dir(tmp_path, capsys, monkeypatch,
                                            argv, message):
@@ -245,7 +247,7 @@ def test_rejected_command_leaves_no_out_dir(tmp_path, capsys, monkeypatch,
         raise AssertionError("sample_paths reached")
 
     monkeypatch.setattr(cli, "sample_paths", no_sampling)
-    out = tmp_path / "results"
+    out = tmp_path / ("results.json" if argv[0] == "simulate" else "results")
     assert run(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(message) and err.count("\n") == 1

@@ -482,13 +482,17 @@ def ft_check(h: float, t: float,
     """
     h = float(h)
     t = float(t)
-    if t <= 0.0:
-        raise ValueError("t must be positive")
+    if not 0.0 < t < math.inf:
+        raise ValueError("t must be positive and finite")
     if not 0.0 < h < 2.0:
         raise ValueError("h must lie in (0, 2)")
     if alpha is not None and h <= 1.0 / StabilityIndex(alpha).alpha:
         raise ValueError("h must exceed 1/alpha for the duality surrogate")
     u_grid = [float(u) for u in u_grid]
+    # NaN drops out of the max and an infinite u out of the panel count
+    bad = [u for u in u_grid if not math.isfinite(u)]
+    if bad:
+        raise ValueError("u must be finite, got %r" % bad[0])
     # u = t is the machine-degenerate point of the direct closed form
     if not any(h <= 1.0 or u != t for u in u_grid):
         raise ValueError("no u to check: the u grid is empty or, for h > 1, "

@@ -598,8 +598,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ft-check", help="appendix Fourier-transform identity")
     _add_common(p)
-    p.add_argument("--h", type=float, required=True)
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--h", type=finite, required=True)
+    p.add_argument("--t", type=finite, required=True)
     p.add_argument("--u", default=None, help="comma-separated u grid")
 
     p = sub.add_parser("holder", help="Hölder slope of sampled paths")

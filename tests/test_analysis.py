@@ -200,8 +200,17 @@ def test_ft_check_validation():
         ft_check(2.5, 1.0)
     with pytest.raises(ValueError):
         ft_check(1.5, -1.0)
+    for t in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="t must be positive and finite"):
+            ft_check(1.5, t)
     # nothing left to check: every u is t in the direct branch, or no u at all
     with pytest.raises(ValueError, match="no u to check"):
         ft_check(1.5, 1.0, u_grid=(1.0,))
     with pytest.raises(ValueError, match="no u to check"):
         ft_check(0.8, 1.0, u_grid=(), alpha=1.5)
+    # NaN would drop out of the worst error, and an infinite u has no panels
+    for u in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="u must be finite"):
+            ft_check(0.8, 1.0, u_grid=(0.25, u), alpha=1.5)
+        with pytest.raises(ValueError, match="u must be finite"):
+            ft_check(1.5, 1.0, u_grid=(u,))

@@ -239,6 +239,12 @@ def test_localtime_snaps_t_to_grid(tmp_path, capsys):
     (["localtime", "--grid", "0:1:4", "--m2", ","], "error: no m2 width to check"),
     # the path CSV would be overwritten by its sidecar, results.json
     (["simulate"], "error: --out"),
+    # an infinite t or u has no panel count, and a NaN u drops out of the max
+    (["ft-check", "--h", "1.5", "--t", "inf"], "error: argument --t: must be finite"),
+    (["ft-check", "--h", "1.5", "--t", "nan"], "error: argument --t: must be finite"),
+    (["ft-check", "--h", "nan", "--t", "1"], "error: argument --h: must be finite"),
+    (["ft-check", "--h", "1.5", "--t", "1", "--u", "inf"], "error: u must be finite"),
+    (["ft-check", "--h", "0.8", "--t", "1", "--u", "nan"], "error: u must be finite"),
 ])
 def test_rejected_command_leaves_no_out_dir(tmp_path, capsys, monkeypatch,
                                            argv, message):

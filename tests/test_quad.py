@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from rhmsp import quad
-from rhmsp.analysis import _ft_closed_form, _ft_integrand
+from rhmsp.analysis import DEFAULT_U_GRID, _ft_closed_form, _ft_integrand
 from rhmsp.quad import (OscillationHint, QuadratureConfig, QuadratureError,
                         QuadResult, integrate_even_singular, oscillatory_ft)
 
@@ -218,7 +218,10 @@ def test_windowed_means_share_integrand_calls():
 # its own and the Fourier phase per node, and (the m2 moment, whose phi
 # stacks take the two-scale tail) when each tail set up its own window and
 # ramp: the lock-step windowed means, the selected phase and the shared
-# window and ramp must reproduce them bit for bit.  The gradient component
+# window and ramp must reproduce them bit for bit.  The Fourier metric is
+# recorded with the outer tail integral skipped and bounded (every
+# component of its integrand oscillates): its error at u = 3, where the
+# closed form is 0, fell from 9.56e-8 to 5.9e-11.  The gradient component
 # is recorded as one integral of the rows P and N; it is 3.0e-8 off the
 # five-point difference quotient of 1e-10 norms, 0.1072881427
 def test_windowed_tail_bits_are_pinned():
@@ -227,7 +230,7 @@ def test_windowed_tail_bits_are_pinned():
     from rhmsp.localtime import local_time_second_moment
     from rhmsp.norms import _grad_component, _raw_norm_integral
 
-    assert ft_check(1.2, 0.5).metric.hex() == "0x1.90e51acf53000p-14"
+    assert ft_check(1.2, 0.5).metric.hex() == "0x1.626cd82780000p-23"
     spec = ProcessSpec(alpha=StabilityIndex(1.5),
                        hurst=parse_hurst("sine:0.5,0.1,1", 4.0),
                        kernel=KernelVariant.X, horizon=4.0)
@@ -373,9 +376,7 @@ def _qawf_ft(h, t, u):
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 @pytest.mark.parametrize("u", [-1.3, 0.4, 2.5])
 def test_ft_against_quadpack_qawf(u):
-    # u = 2.5 > t is a vanishing point of the transform; at h = 1.2 the
-    # engine's error there can exceed its estimate (about 1e-7 at
-    # rel_tol = abs_tol = 1e-7), which the 1e-6 absolute bound covers
+    # u = 2.5 > t is a vanishing point of the transform
     t = 1.0
     cfg = QuadratureConfig(rel_tol=1e-7, abs_tol=1e-7)
     for h in (1.2, 1.5, 1.8):
@@ -384,7 +385,48 @@ def test_ft_against_quadpack_qawf(u):
                              hermitian=True)
         want = _qawf_ft(h, t, u)
         assert want == pytest.approx(_ft_closed_form(h, t, u), abs=1e-8)
-        assert got.real == pytest.approx(want, rel=1e-6, abs=1e-6)
+        assert got.real == pytest.approx(want, rel=1e-7, abs=1e-7)
+
+
+FT_GRID = tuple((h, t) for h in (1.2, 1.5, 1.8) for t in (0.5, 1.0, 2.0))
+
+
+def _ft_half_line(h, t, u, cfg):
+    """The positive half-line of oscillatory_ft's transform of f_{h,t}."""
+    f = _ft_integrand(h, t)
+    return quad._half_line(lambda x: np.exp(1j * u * x) * f(x), h - 1.0,
+                           h - 1.0, cfg, (abs(u - t), abs(u)))
+
+
+def test_ft_stated_error_bounds_the_closed_form():
+    # every component of e^{iux} f_{h,t} oscillates off u in {0, t}; its
+    # skipped outer tail must stay inside the stated error, on the u grid
+    # and on seeded u in (-2, -0.1) and (0.1, t - 0.1) and their ends
+    cfg = QuadratureConfig(rel_tol=1e-7, abs_tol=1e-7)
+    rng = np.random.default_rng(20)
+    for h, t in FT_GRID:
+        us = (list(DEFAULT_U_GRID) + [-2.0, -0.1, 0.1, t - 0.1]
+              + list(rng.uniform(-2.0, -0.1, 4)) + list(rng.uniform(0.1, t - 0.1, 4)))
+        for u in us:
+            if u == t:
+                continue
+            val, err, _ = _ft_half_line(h, t, u, cfg)
+            miss = abs(2.0 * val.real - _ft_closed_form(h, t, u))
+            assert miss <= 2.0 * err, (h, t, u, miss, err)
+
+
+def test_ft_tail_runs_one_windowed_mean(monkeypatch):
+    # the windowed mean of |part| at X2 that scales the skipped tail's bound
+    calls = []
+    means = quad._windowed_means
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return means(*args, **kwargs)
+
+    monkeypatch.setattr(quad, "_windowed_means", counted)
+    _ft_half_line(1.2, 0.5, 3.0, QuadratureConfig(rel_tol=1e-7, abs_tol=1e-7))
+    assert len(calls) == 1 and len(calls[0]) == 1
 
 
 @pytest.mark.parametrize("u", [0.0, 1.0])

@@ -4,8 +4,9 @@ Subcommands map one-to-one onto the library suites; every run resolves a flat
 key=value configuration (file, then ``--set`` overrides), prints one
 PASS/FAIL line per check, and writes CSV artifacts with JSON sidecars that
 embed the full resolved configuration.  Exit codes: 0 all checks pass,
-1 at least one check failed, 2 a usage error, any library ``ValueError`` or a
-quadrature that cannot certify its result.
+1 at least one check failed, 2 a usage error, any library ``ValueError``, a
+quadrature that cannot certify its result or an LND minimization that cannot
+certify stationarity.
 
 Each ``cmd_*`` only computes: it puts its artifacts in the ``files`` dict
 (path -> text) that `run` passes in.  `run` alone turns an error into exit 2
@@ -27,7 +28,7 @@ import numpy as np
 from . import analysis, lepage, localtime
 from .lepage import LePageConfig, derive_constants, sample_paths
 from .model import HurstFunction, KernelVariant, ProcessSpec, StabilityIndex
-from .norms import FddPoint, OptimizerConfig, exact_cf, scale_norm
+from .norms import FddPoint, OptimizerConfig, OptimizerError, exact_cf, scale_norm
 from .quad import QuadratureConfig, QuadratureError
 
 __all__ = ["run", "main"]
@@ -639,7 +640,7 @@ def run(argv: Sequence[str]) -> int:
         if not getattr(args, "command", None):
             raise CliError("expected one of: %s" % ", ".join(COMMANDS))
         code = _DISPATCH[args.command](args, files)
-    except (CliError, QuadratureError, ValueError) as exc:
+    except (CliError, QuadratureError, OptimizerError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     for path, text in files.items():

@@ -245,6 +245,10 @@ def test_localtime_snaps_t_to_grid(tmp_path, capsys):
     (["ft-check", "--h", "nan", "--t", "1"], "error: argument --h: must be finite"),
     (["ft-check", "--h", "1.5", "--t", "1", "--u", "inf"], "error: u must be finite"),
     (["ft-check", "--h", "0.8", "--t", "1", "--u", "nan"], "error: u must be finite"),
+    # a grad_tol below the gradient's own quadrature error: BFGS and then
+    # Nelder-Mead end above it, and the optimizer raises
+    (["lnd", "--n", "4", "--center", "0.5", "--spacings", "0.03125", "--grad-tol", "1e-12"],
+     "error: LND minimization not stationary"),
 ])
 def test_rejected_command_leaves_no_out_dir(tmp_path, capsys, monkeypatch,
                                            argv, message):

@@ -325,10 +325,17 @@ def _hints(monkeypatch, call, *args):
 
 
 def _frozen(terms, x, y):
-    """The full nodes-by-samples matrix of a combination frozen at x."""
-    out = np.zeros((x.size, y.size), dtype=complex)
+    """The full nodes-by-samples matrix of a combination frozen at x, at
+    the positions y or the torus phase pairs y = (levels, theta) of
+    `norms._phase_samples`."""
+    if isinstance(y, tuple):
+        levels, theta = y
+        phases = [math.copysign(1.0, v) * theta[levels.index(abs(v))] for v in terms.nu]
+    else:
+        phases = [v * y for v in terms.nu]
+    out = np.zeros((x.size, phases[0].size), dtype=complex)
     for k in range(terms.lam.size):
-        osc = terms.c1[k] * (np.exp(1j * terms.nu[k] * y) - 1.0)
+        osc = terms.c1[k] * (np.exp(1j * phases[k]) - 1.0)
         out += terms.lam[k] * x[:, None] ** (-terms.p[k]) * osc[None, :]
     return out
 
@@ -366,8 +373,9 @@ def test_const_h_envelope_is_factored_exactly(monkeypatch, times, coeffs,
     got, freqs = _engine_envelopes(monkeypatch, spec, times, coeffs,
                                    direction, x)
     assert len(freqs[0]) == count
+    y = norms._phase_samples(freqs[0], norms._build_terms(spec, times, coeffs).nu)
     for env, fr, want in zip(got, freqs, _direct_envelopes(
-            spec, times, coeffs, direction, x, norms._phase_samples(freqs[0]))):
+            spec, times, coeffs, direction, x, y)):
         assert fr == freqs[0]
         np.testing.assert_allclose(env, want, rtol=1e-13, atol=0.0)
         assert np.all(want > 0.0)
@@ -377,31 +385,143 @@ def test_distinct_exponent_envelope_streams_rows_exactly(monkeypatch):
     spec = make_spec(hurst="sine:0.5,0.1,1")
     times, coeffs = (0.4, 0.4 + 1e-2 * math.sqrt(2.0)), (-1.0, 1.0)
     direction = (1.0, -1.0)
-    y = norms._phase_samples(norms._frequency_set(
-        norms._build_terms(spec, times, coeffs)))
+    terms = norms._build_terms(spec, times, coeffs)
+    # two incommensurate times: phase pairs on the torus grid
+    levels, theta = y = norms._phase_samples(norms._frequency_set(terms), terms.nu)
     # two-row blocks, so five nodes make three blocks, the last one partial
-    monkeypatch.setattr(norms, "_ENVELOPE_BLOCK", 2 * y.size)
+    monkeypatch.setattr(norms, "_ENVELOPE_BLOCK", 2 * theta.shape[1])
     x = np.geomspace(1e2, 1e8, 5)
     got, freqs = _engine_envelopes(monkeypatch, spec, times, coeffs,
                                    direction, x)
     for env, fr, want in zip(got, freqs, _direct_envelopes(
             spec, times, coeffs, direction, x, y)):
-        assert np.array_equal(norms._phase_samples(fr), y)
+        again = norms._phase_samples(fr, terms.nu)
+        assert again[0] == levels and np.array_equal(again[1], theta)
         assert np.array_equal(env, want)
+
+
+def _record_frozen(monkeypatch, what):
+    """The list that `_Terms.combo_frozen` appends ``what(x, osc)`` to: one
+    entry per combination, row and block."""
+    seen = []
+    frozen = norms._Terms.combo_frozen
+
+    def recorded(self, x, osc):
+        seen.append(what(x, osc))
+        return frozen(self, x, osc)
+
+    monkeypatch.setattr(norms._Terms, "combo_frozen", recorded)
+    return seen
 
 
 def _count_sums(monkeypatch):
     """The list that `_Terms.combo_frozen` appends its node count to: one
     entry per combination, row and block, one phase sum per node."""
-    sums = []
-    frozen = norms._Terms.combo_frozen
+    return _record_frozen(monkeypatch, lambda x, osc: np.size(x))
 
-    def counted(self, x, osc):
-        sums.append(np.size(x))
-        return frozen(self, x, osc)
 
-    monkeypatch.setattr(norms._Terms, "combo_frozen", counted)
-    return sums
+def _torus(side, levels):
+    """The side^2 midpoint grid on the phase torus of the two |nu| in
+    ``levels``, as `norms._phase_samples` lays it out."""
+    grid = (np.arange(side) + 0.5) * (2.0 * math.pi / side)
+    return levels, np.stack([np.repeat(grid, side), np.tile(grid, side)])
+
+
+def _kronecker_line(w0):
+    """The 2^17 Kronecker-spaced positions over 512 periods of the slowest
+    frequency w0 that `norms._phase_samples` takes when no period exists
+    and the set has three or more kernel frequencies."""
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    return 512.0 * 2.0 * math.pi / w0 * np.mod((np.arange(1 << 17) + 0.5) * golden, 1.0)
+
+
+# two incommensurate kernel frequencies, each with a constant part: the
+# sine-H increments of `localizability_error` at t = 0.4718281828, delta
+# 1e-2 and 2.5e-3, one phi section of the const-H m2 stack, and that
+# section's gradient rows [P, N] along f(t_1)
+_T, _PHI = 0.4718281828, (math.cos(1.5) - math.sin(1.5), math.sin(1.5))
+_TORUS_CASES = [
+    ("sine:0.5,0.1,1", (_T, _T + 1e-2), (-1.0, 1.0), None),
+    ("sine:0.5,0.1,1", (_T, _T + 2.5e-3), (-1.0, 1.0), None),
+    ("const:0.5", (0.5101, 0.5101 + 0.0123 * math.sqrt(2.0)), _PHI, None),
+    ("const:0.5", (0.5101, 0.5101 + 0.0123 * math.sqrt(2.0)), _PHI, (1.0, 0.0)),
+]
+
+
+@pytest.mark.parametrize("hurst,times,coeffs,direction", _TORUS_CASES)
+def test_two_frequency_envelope_matches_a_fine_torus(monkeypatch, hurst, times,
+                                                     coeffs, direction):
+    # the Weyl mean of a combination of two incommensurate frequencies is
+    # its mean over the phase torus: the 128^2 grid is within 1e-5 of a
+    # 1024^2 grid on it, and no further off than the 2^17-point Kronecker
+    # line that such sets once took
+    spec = make_spec(hurst=hurst)
+    alpha = spec.alpha.alpha
+    combos = [norms._build_terms(spec, times, coeffs)]
+    if direction is None:
+        (hint,) = _hints(monkeypatch, norms._raw_norm_integral, spec, times, coeffs, CFG)
+
+        def reduce(G):
+            return np.abs(G) ** alpha
+    else:
+        (hint,) = _hints(monkeypatch, norms._grad_component, spec, times, coeffs,
+                         direction, CFG)
+        combos.append(norms._build_terms(spec, times, direction))
+
+        def reduce(G, D):
+            return norms._split_rows(G, D, alpha)
+    x = np.geomspace(1e3, 1e9, 4)
+    fine = _torus(1024, tuple(sorted(abs(v) for v in combos[0].nu)))
+    want = np.stack([np.mean(reduce(*[_frozen(c, x[i:i + 1], fine) for c in combos]),
+                             axis=-1)[..., 0] for i in range(x.size)], axis=-1)
+    line = norms._mean_envelope(reduce, combos, _kronecker_line(hint.frequencies[0]))(x)
+    got = hint.mean_envelope(x)
+    err = np.max(np.abs(got / want - 1.0))
+    assert err <= 1e-5
+    assert err <= np.max(np.abs(line / want - 1.0))
+
+
+@pytest.mark.parametrize("hurst,times,coeffs,rows", [
+    ("sine:0.5,0.1,1", (_T, _T + 1e-2), (-1.0, 1.0), 1),
+    # the 20 phi sections of one const-H m2 gap node, summed once at x = 1
+    ("const:0.5", (0.5101, 0.5101 + 0.0123 * math.sqrt(2.0)),
+     localtime._phi_coeffs(localtime._phi_rule(0.2)[0]), 20),
+])
+def test_two_frequency_envelope_sums_the_torus_grid(monkeypatch, hurst, times,
+                                                    coeffs, rows):
+    seen = _record_frozen(monkeypatch, lambda x, osc: (np.size(x), osc.shape[-1]))
+    (hint,) = _hints(monkeypatch, norms._raw_norm_integral, make_spec(hurst=hurst),
+                     times, coeffs, CFG)
+    hint.mean_envelope(np.geomspace(1e3, 1e9, 90))
+    assert len(seen) % rows == 0 and len(seen) >= rows
+    # 16 384 phase pairs per frozen node and row, where the line had 2^17
+    assert all(pairs == 128 ** 2 for _, pairs in seen)
+    if hurst.startswith("const"):
+        assert seen == [(1, 128 ** 2)] * rows
+
+
+def test_phase_samples_keep_their_bits_off_the_torus():
+    spec = make_spec(hurst="affine:0.5,0.03")
+    # two commensurate times (1.1 = 11/10): one common period of 0.1
+    terms = norms._build_terms(spec, (1.0, 1.1), (0.6, -0.7))
+    freqs = norms._frequency_set(terms)
+    period = 2.0 * math.pi / freqs[0]
+    assert np.array_equal(norms._phase_samples(freqs, terms.nu),
+                          (np.arange(4096) + 0.5) * (period / 4096))
+    # a const-H increment carries only its beat, a period of itself
+    terms = norms._build_terms(make_spec(), (0.5101, 0.5101 + 0.0123 * math.sqrt(2.0)),
+                               (-1.0, 1.0))
+    freqs = norms._frequency_set(terms)
+    assert len(freqs) == 1
+    assert np.array_equal(norms._phase_samples(freqs, terms.nu),
+                          (np.arange(4096) + 0.5) * (2.0 * math.pi / freqs[0] / 4096))
+    # three incommensurate times: the Kronecker line
+    spec = make_spec(hurst="logistic:0.47,0.68,2,2")
+    terms = norms._build_terms(spec, (0.5, 0.5 + 0.03 * math.sqrt(2.0),
+                                      0.5 + 0.03 * math.sqrt(3.0)), (0.3, -1.3, 1.0))
+    freqs = norms._frequency_set(terms)
+    assert np.array_equal(norms._phase_samples(freqs, terms.nu),
+                          _kronecker_line(freqs[0]))
 
 
 def test_const_h_norm_freezes_the_combination_once(monkeypatch):
@@ -411,9 +531,9 @@ def test_const_h_norm_freezes_the_combination_once(monkeypatch):
     assert calls == [1]
 
 
-# sine, affine and logistic H; two and three times, incommensurate (2^17
-# phase samples) or not (4 096); a stack of three rows, whose gradient is
-# not taken
+# sine, affine and logistic H; two times, incommensurate (128^2 torus phase
+# pairs) or not (4 096 period samples), and three incommensurate times (2^17
+# line samples); a stack of three rows, whose gradient is not taken
 @pytest.mark.parametrize("hurst,times,coeffs,direction", [
     ("sine:0.5,0.1,1", (0.4, 0.4 + 1e-2 * math.sqrt(2.0)), (-1.0, 1.0), (1.0, -1.0)),
     ("affine:0.5,0.03", (1.0, 1.1), (0.6, -0.7), (0.0, 1.0)),
@@ -497,8 +617,8 @@ def test_stacked_envelope_is_each_rows_envelope(monkeypatch, hurst):
     times, rows = (0.5, 0.52, 0.6), [(0.3, -1.0, 0.5), (-1.0, 1.0, 0.0), (0.0, 2.0, -0.7)]
     x = np.geomspace(1e2, 1e8, 5)
     (stacked,) = _hints(monkeypatch, norms._raw_norm_integral, spec, times, rows, CFG)
-    y = norms._phase_samples(stacked.frequencies)
     terms = norms._build_terms(spec, times, rows)
+    y = norms._phase_samples(stacked.frequencies, terms.nu)
     for row, env in zip(terms.lam, stacked.mean_envelope(x)):
         one = norms._Terms(lam=row, p=terms.p, nu=terms.nu, c1=terms.c1,
                            alpha=terms.alpha)

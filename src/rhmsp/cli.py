@@ -525,9 +525,9 @@ def cmd_verify_all(args, files: Dict[str, str]) -> int:
 # ---------------------------------------------------------------------------
 
 def finite(text: str) -> float:
-    """argparse type of a check's threshold or floor, or of a level: a finite
-    float, since NaN fails every comparison and an infinite bound passes
-    anything."""
+    """argparse type of a check's threshold or floor, of a level or of a
+    tolerance: a finite float, since NaN fails every comparison and an
+    infinite bound passes anything."""
     value = float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError("must be finite, got %r" % text)
@@ -578,7 +578,7 @@ def build_parser() -> _Parser:
     p.add_argument("--spacings", default="0.0625,0.03125")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--floor", type=finite, default=0.5)
-    p.add_argument("--grad-tol", type=float, default=1e-4)
+    p.add_argument("--grad-tol", type=finite, default=1e-4)
 
     p = sub.add_parser("localize", help="localizability error schedule")
     _add_common(p)

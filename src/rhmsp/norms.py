@@ -5,7 +5,8 @@ integral is an isometry onto L^alpha(R), so norms of linear combinations
 Sum lambda_k X(t_k) reduce to 1-D integrals of |Sum lambda_k f(t_k, x)|^alpha.
 This module evaluates those integrals through the quad engine, exposes the
 exact characteristic function, and performs the local-nondeterminism (LND)
-minimization over the span of past values.
+minimization over the span of past values: BFGS on the value and every span
+gradient of one quadrature pass per evaluation.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ class FddPoint:
         object.__setattr__(self, "coeffs", coeffs)
 
 
-# quasi-Newton iterations before the simplex fallback
+# BFGS iterations before stationarity is checked
 _MAX_ITER = 200
 
 
@@ -74,8 +75,8 @@ class OptimizerConfig:
     grad_tol: float = 1e-5
 
     def __post_init__(self):
-        if not self.grad_tol > 0:
-            raise ValueError("grad_tol must be positive")
+        if not 0 < self.grad_tol < math.inf:
+            raise ValueError("grad_tol must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -89,11 +90,6 @@ class LNDReport:
 
 class OptimizerError(RuntimeError):
     """LND minimization failed to certify stationarity."""
-
-    def __init__(self, message, best_point, grad_norm):
-        super().__init__(message)
-        self.best_point = tuple(best_point)
-        self.grad_norm = float(grad_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -571,25 +567,30 @@ def increment_norm(spec: ProcessSpec, t: float, s: float,
 # LND distance: convex minimization over the span of past values
 # ---------------------------------------------------------------------------
 
-def _grad_component(spec: ProcessSpec, times, coeffs, direction,
-                    cfg: QuadratureConfig) -> float:
-    """Derivative of int |G|^alpha along D, where G = Sum coeffs_k f(t_k) and
-    D = Sum direction_k f(t_k): alpha int |G|^{alpha-2} Re(conj(G) D), taken
-    as alpha (int P - int N) from one integral of the nonnegative rows of
-    `_split_rows`.  The rows share one mesh, so the difference is the K15
-    sum of the integrand; each is certified on its own, so the error is
-    relative to int P + int N.  An increment direction at an increment G
-    under constant H carries only the beats (`_frequency_set`)."""
-    terms = _build_terms(spec, times, coeffs)
-    along = _build_terms(spec, times, direction)
-    if terms is None or along is None:
-        return 0.0
-    alpha = terms.alpha
+def _grad_component(spec: ProcessSpec, times, coeffs, directions,
+                    cfg: QuadratureConfig) -> Tuple[float, np.ndarray]:
+    """(int |G|^alpha, its gradient along each D_j) from one integral, where
+    G = Sum coeffs_k f(t_k) and D_j = Sum directions[j]_k f(t_k).  The
+    derivative along D is alpha int |G|^{alpha-2} Re(conj(G) D), taken as
+    alpha (int P - int N) of the nonnegative rows of `_split_rows`; the
+    rows [|G|^alpha, P_1, N_1, ..., P_m, N_m] share one mesh, so each
+    difference is the K15 sum of its integrand.  Each row is certified on
+    its own, so a derivative's error is relative to int P + int N.  An
+    increment direction at an increment G under constant H carries only
+    the beats (`_frequency_set`).  Every combination takes a term at each
+    time any of them uses, so a zero direction is a zero row, where P = N."""
+    stack = _build_terms(spec, times, np.vstack([coeffs, directions]))
+    if stack is None:
+        return 0.0, np.zeros(len(directions))
+    alpha = stack.alpha
     # N <= |G|^{alpha-1} (|D| + |G|) decays as x^{-alpha p_min}
-    decay = alpha * float(min(np.min(terms.p), np.min(along.p))) - 1.0
-    positive, negative = _integral(lambda G, D: _split_rows(G, D, alpha),
-                                   (terms, along), decay, cfg)
-    return alpha * (positive - negative)
+    decay = alpha * float(np.min(stack.p)) - 1.0
+
+    def reduce(G, *D):
+        return np.concatenate([np.abs(G)[None] ** alpha]
+                              + [_split_rows(G, d, alpha) for d in D])
+    rows = _integral(reduce, [replace(stack, lam=lam) for lam in stack.lam], decay, cfg)
+    return float(rows[0]), alpha * (rows[1::2] - rows[2::2])
 
 
 def _split_rows(G, D, alpha):
@@ -610,40 +611,22 @@ def _span_distance(spec: ProcessSpec, times, v0, V, x0,
     """(min, argmin) of the convex map a -> ||v0 + V^T a||_alpha^alpha, where
     v0 and the rows of the array V are coefficient vectors on X(times).
 
-    Quasi-Newton runs with the gradient taken under the integral (alpha > 1
-    makes |.|^alpha continuously differentiable), one derivative along each
-    row of V, with a simplex fallback; stationarity is certified by the
-    quadrature gradient.
+    BFGS runs on the value and the gradient of one `_grad_component` pass
+    per evaluation: alpha > 1 makes |.|^alpha continuously differentiable,
+    so the gradient is taken under the integral, one derivative along each
+    row of V.  Stationarity is certified by the quadrature gradient at the
+    last iterate, or OptimizerError is raised.
     """
-    def coeffs(a):
-        return tuple(float(c) for c in v0 + a @ V)
-
-    def objective(a):
-        return _raw_norm_integral(spec, times, coeffs(a), cfg)
-
-    def gradient(a):
-        w = coeffs(a)
-        return np.array([_grad_component(spec, times, w, row, cfg) for row in V])
-
     if not len(x0):  # an empty span
-        return objective(x0), x0
-    res = _sciopt.minimize(objective, x0, jac=gradient, method="BFGS",
+        return _raw_norm_integral(spec, times, v0, cfg), x0
+    res = _sciopt.minimize(lambda a: _grad_component(spec, times, v0 + a @ V, V, cfg),
+                           x0, jac=True, method="BFGS",
                            options={"gtol": opt_cfg.grad_tol, "maxiter": _MAX_ITER})
-    best_x, best_f = res.x, float(res.fun)
-    gnorm = float(np.max(np.abs(gradient(best_x))))
+    gnorm = float(np.max(np.abs(res.jac)))
     if gnorm > opt_cfg.grad_tol:
-        # derivative-free fallback from the best iterate
-        res2 = _sciopt.minimize(objective, best_x, method="Nelder-Mead",
-                                options={"xatol": 1e-9, "fatol": 1e-14,
-                                         "maxiter": 400 * len(x0)})
-        if float(res2.fun) <= best_f:
-            best_x, best_f = res2.x, float(res2.fun)
-        gnorm = float(np.max(np.abs(gradient(best_x))))
-        if gnorm > opt_cfg.grad_tol:
-            raise OptimizerError(
-                "LND minimization not stationary: |grad| = %.3e > %.3e"
-                % (gnorm, opt_cfg.grad_tol), best_x, gnorm)
-    return best_f, best_x
+        raise OptimizerError("LND minimization not stationary: |grad| = %.3e > %.3e"
+                             % (gnorm, opt_cfg.grad_tol))
+    return float(res.fun), res.x
 
 
 def lnd_distance(spec: ProcessSpec, times: Sequence[float],

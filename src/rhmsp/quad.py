@@ -156,8 +156,8 @@ class QuadratureConfig:
     abs_tol: float = 1e-12
 
     def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("rel_tol and abs_tol must be positive")
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise ValueError("rel_tol and abs_tol must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -5,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from rhmsp import cli
+from rhmsp import cli, norms
 from rhmsp.cli import CliError, load_config, parse_floats, parse_grid, run
 from rhmsp.lepage import LePageConfig, sample_paths
 from rhmsp.norms import FddPoint
@@ -245,10 +246,12 @@ def test_localtime_snaps_t_to_grid(tmp_path, capsys):
     (["ft-check", "--h", "nan", "--t", "1"], "error: argument --h: must be finite"),
     (["ft-check", "--h", "1.5", "--t", "1", "--u", "inf"], "error: u must be finite"),
     (["ft-check", "--h", "0.8", "--t", "1", "--u", "nan"], "error: u must be finite"),
-    # a grad_tol below the gradient's own quadrature error: BFGS and then
-    # Nelder-Mead end above it, and the optimizer raises
+    # a grad_tol below the gradient's own quadrature error: BFGS ends above
+    # it, and the optimizer raises
     (["lnd", "--n", "4", "--center", "0.5", "--spacings", "0.03125", "--grad-tol", "1e-12"],
      "error: LND minimization not stationary"),
+    # an infinite grad_tol would stop BFGS at its start point and pass
+    (["lnd", "--n", "3", "--grad-tol", "inf"], "error: argument --grad-tol: must be finite"),
 ])
 def test_rejected_command_leaves_no_out_dir(tmp_path, capsys, monkeypatch,
                                            argv, message):
@@ -261,6 +264,41 @@ def test_rejected_command_leaves_no_out_dir(tmp_path, capsys, monkeypatch,
     assert run(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(message) and err.count("\n") == 1
+    assert not out.exists()
+
+
+def _float_options():
+    """(argv, option) for every option of `cli.build_parser` typed float or
+    finite, the argv naming its command and "1" for each other required
+    option but --out."""
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    cases = []
+    for name, sub in commands.choices.items():
+        required = [a.option_strings[0] for a in sub._actions
+                    if a.required and a.dest != "out"]
+        for action in sub._actions:
+            if action.type in (float, cli.finite):
+                option = action.option_strings[0]
+                argv = [name] + [v for r in required if r != option for v in (r, "1")]
+                cases.append(pytest.param(argv, option, id=name + option))
+    return cases
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("argv, option", _float_options())
+def test_non_finite_float_option_is_rejected(tmp_path, capsys, monkeypatch, argv,
+                                             option, value):
+    # before any quadrature or sampling, with one error line and no --out
+    def no_computation(*args, **kwargs):
+        raise AssertionError("computation reached")
+
+    monkeypatch.setattr(cli, "sample_paths", no_computation)
+    monkeypatch.setattr(norms, "integrate_even_singular", no_computation)
+    out = tmp_path / ("results.json" if argv[0] == "simulate" else "results")
+    assert run(argv + ["%s=%s" % (option, value), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -19,10 +19,11 @@ CFG = QuadratureConfig(rel_tol=1e-6)
 
 # frozen regression values (default config, alpha=1.5, const H=0.5, kernel X)
 SCALE_NORM_T1 = 3.74985397872
-# lnd_distance at (0.5, 0.75) and at (0.5, 0.625, 0.75) with grad_tol 1e-3,
-# as computed with one gradient component per unit vector f_j
-LND_DISTANCE_2 = 1.8606066185022054
-LND_DISTANCE_3 = 1.3128377657179002
+# lnd_distance at (0.5, 0.75), and at (0.5, 0.625, 0.75) with grad_tol 1e-3,
+# from BFGS steps that each take the objective and its derivative along
+# every unit vector f_j from one quadrature pass
+LND_DISTANCE_2 = 1.860606619761433
+LND_DISTANCE_3 = 1.312837766144409
 
 
 def pt(*pairs):
@@ -48,6 +49,8 @@ def test_fdd_point_validation():
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(grad_tol=0.0)
+    with pytest.raises(ValueError):
+        OptimizerConfig(grad_tol=math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -176,34 +179,81 @@ def test_lnd_distance_upper_bounded_by_candidates(default_spec):
 _LADDER, _W = (0.5, 0.53125, 0.5625), (0.3, -1.3, 1.0)
 
 
-@pytest.mark.parametrize("hurst,kernel,times,coeffs,direction", [
+# exact: the value row is the objective's own integral bit for bit, where
+# the increment direction adds no frequency to the objective's beats; a
+# unit direction keeps a constant part, which adds the kernel times
+@pytest.mark.parametrize("hurst,kernel,times,coeffs,directions,exact", [
     # an increment direction: beats only
-    pytest.param("const:0.7", "X", _LADDER, _W, (1.0, -1.0, 0.0), id="const:0.7-direction0"),
+    pytest.param("const:0.7", "X", _LADDER, _W, [(1.0, -1.0, 0.0)], True,
+                 id="const:0.7-direction0"),
     # a row of lnd_distance's span
-    pytest.param("const:0.7", "X", _LADDER, _W, (0.0, -1.0, 0.0), id="const:0.7-direction1"),
-    pytest.param("sine:0.5,0.1,1", "X", _LADDER, _W, (1.0, -1.0, 0.0),
+    pytest.param("const:0.7", "X", _LADDER, _W, [(0.0, -1.0, 0.0)], False,
+                 id="const:0.7-direction1"),
+    pytest.param("sine:0.5,0.1,1", "X", _LADDER, _W, [(1.0, -1.0, 0.0)], False,
                  id="sine:0.5,0.1,1-direction2"),
-    pytest.param("sine:0.5,0.1,1", "Y", _LADDER, _W, (1.0, -1.0, 0.0),
+    pytest.param("sine:0.5,0.1,1", "Y", _LADDER, _W, [(1.0, -1.0, 0.0)], False,
                  id="sine:0.5,0.1,1-kernel-Y"),
     # separated times: the single-time direction D vanishes once a period
-    pytest.param("const:0.5", "X", (0.5, 1.0, 1.7), (0.4, 0.3, -1.0), (0.0, 1.0, 0.0),
-                 id="const:0.5-separated-times"),
+    pytest.param("const:0.5", "X", (0.5, 1.0, 1.7), (0.4, 0.3, -1.0), [(0.0, 1.0, 0.0)],
+                 False, id="const:0.5-separated-times"),
+    # lnd_distance's whole span at (0.5, 0.625, 0.75), from a = (0.3, 0.5)
+    pytest.param("const:0.5", "X", (0.5, 0.625, 0.75), (-0.3, -0.5, 1.0),
+                 [(-1.0, 0.0, 0.0), (0.0, -1.0, 0.0)], False, id="const:0.5-lnd-span"),
 ])
 def test_directional_derivative_matches_finite_differences(hurst, kernel, times,
-                                                           coeffs, direction):
+                                                           coeffs, directions, exact):
     spec = make_spec(hurst=hurst, kernel=kernel)
     cfg = QuadratureConfig(rel_tol=1e-8)
-    w, d = np.array(coeffs), np.array(direction)
+    w = np.array(coeffs)
     step = 1e-3
+    value, got = norms._grad_component(spec, times, tuple(w), directions, cfg)
+    objective = norms._raw_norm_integral(spec, times, tuple(w), cfg)
+    assert value == pytest.approx(objective, rel=0.0 if exact else cfg.rel_tol, abs=0.0)
+    assert got.shape == (len(directions),)
+    for component, d in zip(got, np.array(directions)):
+        def diff(a):
+            return (norms._raw_norm_integral(spec, times, tuple(w + a * d), cfg)
+                    - norms._raw_norm_integral(spec, times, tuple(w - a * d), cfg))
 
-    def diff(a):
-        return (norms._raw_norm_integral(spec, times, tuple(w + a * d), cfg)
-                - norms._raw_norm_integral(spec, times, tuple(w - a * d), cfg))
+        # five-point stencil: its O(step^4) error is far below the tolerance
+        want = (8.0 * diff(step) - diff(2.0 * step)) / (12.0 * step)
+        assert component == pytest.approx(want, rel=1e-6)
 
-    # five-point stencil: its O(step^4) error is far below the tolerance
-    want = (8.0 * diff(step) - diff(2.0 * step)) / (12.0 * step)
-    got = norms._grad_component(spec, times, tuple(w), direction, cfg)
-    assert got == pytest.approx(want, rel=1e-6)
+
+def test_zero_combination_or_direction_has_zero_derivative():
+    # a zero direction's rows P and N are both |G|^alpha; at G = 0 every row is 0
+    spec, cfg = make_spec(hurst="const:0.7"), QuadratureConfig(rel_tol=1e-6)
+    alone, (along,) = norms._grad_component(spec, _LADDER, _W, [(1.0, -1.0, 0.0)], cfg)
+    value, grad = norms._grad_component(spec, _LADDER, _W,
+                                        [(0.0, 0.0, 0.0), (1.0, -1.0, 0.0)], cfg)
+    assert value == alone and grad.tolist() == [0.0, along]
+    for direction in ((1.0, -1.0, 0.0), (0.0, 0.0, 0.0)):
+        value, grad = norms._grad_component(spec, _LADDER, (0.0, 0.0, 0.0), [direction], cfg)
+        assert value == 0.0 and np.array_equal(grad, [0.0])
+
+
+def test_every_lnd_step_is_one_pass(monkeypatch):
+    # each BFGS evaluation integrates [|G|^alpha, P_1, N_1, P_2, N_2] at once
+    rows, inside = [], []
+    engine, span = norms.integrate_even_singular, norms._span_distance
+
+    def record(*args, **kwargs):
+        result = engine(*args, **kwargs)
+        if inside:
+            rows.append(np.size(result.value))
+        return result
+
+    def spanned(*args):
+        inside.append(True)
+        try:
+            return span(*args)
+        finally:
+            inside.clear()
+
+    monkeypatch.setattr(norms, "integrate_even_singular", record)
+    monkeypatch.setattr(norms, "_span_distance", spanned)
+    lnd_distance(make_spec(), (0.5, 0.625, 0.75), CFG, OptimizerConfig(grad_tol=1e-3))
+    assert rows and rows == [1 + 2 * 2] * len(rows)
 
 
 def test_sine_gradient_at_close_times_certifies():
@@ -212,7 +262,8 @@ def test_sine_gradient_at_close_times_certifies():
     spec = make_spec(hurst="sine:0.5,0.1,1")
     times = (0.5, 0.5 + 0.03 * math.sqrt(2.0), 0.5 + 0.03 * math.sqrt(3.0))
     cfg = QuadratureConfig(rel_tol=1e-6)
-    got = norms._grad_component(spec, times, (0.3, -1.3, 1.0), (1.0, -1.0, 0.0), cfg)
+    _, (got,) = norms._grad_component(spec, times, (0.3, -1.3, 1.0),
+                                      [(1.0, -1.0, 0.0)], cfg)
     # the value at rel_tol 1e-8
     assert got == pytest.approx(0.33160505329, rel=4.0 * cfg.rel_tol)
 
@@ -340,23 +391,28 @@ def _frozen(terms, x, y):
     return out
 
 
+def _pass_rows(G, D, alpha):
+    """The rows [|G|^alpha, P, N] of one value-and-gradient pass along D."""
+    return np.concatenate([np.abs(G)[None] ** alpha, norms._split_rows(G, D, alpha)])
+
+
 def _direct_envelopes(spec, times, coeffs, direction, x, y):
     """Per-row phase means of the full matrix: the norm's reducer, then the
-    gradient's two rows P and N (checked on their own by the property test
-    of `norms._split_rows`), stacked."""
+    value-and-gradient pass's rows |G|^alpha, P and N (P and N checked on
+    their own by the property test of `norms._split_rows`), stacked."""
     alpha = spec.alpha.alpha
     G = _frozen(norms._build_terms(spec, times, coeffs), x, y)
     D = _frozen(norms._build_terms(spec, times, direction), x, y)
     return (np.mean(np.abs(G) ** alpha, axis=1),
-            np.mean(norms._split_rows(G, D, alpha), axis=-1))
+            np.mean(_pass_rows(G, D, alpha), axis=-1))
 
 
 def _engine_envelopes(monkeypatch, spec, times, coeffs, direction, x):
     (norm_hint,) = _hints(monkeypatch, norms._raw_norm_integral,
                           spec, times, coeffs, CFG)
-    (grad_hint,) = _hints(monkeypatch, norms._grad_component,
-                          spec, times, coeffs, direction, CFG)
-    hints = [norm_hint, grad_hint]
+    (pass_hint,) = _hints(monkeypatch, norms._grad_component,
+                          spec, times, coeffs, [direction], CFG)
+    hints = [norm_hint, pass_hint]
     return [h.mean_envelope(x) for h in hints], [h.frequencies for h in hints]
 
 
@@ -465,11 +521,11 @@ def test_two_frequency_envelope_matches_a_fine_torus(monkeypatch, hurst, times,
             return np.abs(G) ** alpha
     else:
         (hint,) = _hints(monkeypatch, norms._grad_component, spec, times, coeffs,
-                         direction, CFG)
+                         [direction], CFG)
         combos.append(norms._build_terms(spec, times, direction))
 
         def reduce(G, D):
-            return norms._split_rows(G, D, alpha)
+            return _pass_rows(G, D, alpha)
     x = np.geomspace(1e3, 1e9, 4)
     fine = _torus(1024, tuple(sorted(abs(v) for v in combos[0].nu)))
     want = np.stack([np.mean(reduce(*[_frozen(c, x[i:i + 1], fine) for c in combos]),
@@ -548,7 +604,7 @@ def test_interpolated_envelope_matches_the_direct_sums(monkeypatch, hurst, times
     hints = _hints(monkeypatch, norms._raw_norm_integral, spec, times, coeffs, CFG)
     if direction is not None:
         hints += _hints(monkeypatch, norms._grad_component,
-                        spec, times, coeffs, direction, CFG)
+                        spec, times, coeffs, [direction], CFG)
     s = spec.alpha.alpha * min(spec.hurst(t) for t in times)
     rows = len(coeffs) if np.ndim(coeffs) > 1 else 1
     sums = _count_sums(monkeypatch)
@@ -561,14 +617,14 @@ def test_interpolated_envelope_matches_the_direct_sums(monkeypatch, hurst, times
         x = np.geomspace(x1, x1 * 1e6 ** (1.0 / s), 90)
         del sums[:]
         got = hint.mean_envelope(x)
-        # the norm's reducer takes one combination, the gradient's rows two
+        # the norm's reducer takes one combination, the pass's rows two
         cost = sum(sums) / ((2 if k else 1) * rows)
         # one node at a time is summed directly
         want = np.concatenate([hint.mean_envelope(x[i:i + 1]) for i in range(x.size)],
                               axis=-1)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
-        # the phase means of the norm and of the gradient's rows are smooth
-        # in ln x and interpolated
+        # the phase means of the norm and of the pass's rows are smooth in
+        # ln x and interpolated
         assert cost <= 33
 
 
@@ -854,12 +910,14 @@ def test_sine_increment_cost_grows_at_most_logarithmically(monkeypatch):
 @pytest.mark.parametrize("c", [0.0, 0.53])
 def test_lnd_gradient_costs_what_its_objective_costs(monkeypatch, c):
     # the golden LND point of criterion 6 (c = 0.53 is near the argmin):
-    # one integral of the gradient's two rows, on the objective's beats
+    # one pass of the value and the gradient's two rows, on the objective's
+    # beats, costs at most 1.25 times the objective alone
     spec = make_spec(hurst="const:0.7")
     cfg = QuadratureConfig(rel_tol=1e-5)
     times, coeffs = (0.5, 0.5 + 2.0 ** -5, 0.5 + 2.0 ** -4), (c, -1.0 - c, 1.0)
     results = _counted(monkeypatch)
     norms._raw_norm_integral(spec, times, coeffs, cfg)
-    norms._grad_component(spec, times, coeffs, (1.0, -1.0, 0.0), cfg)
-    objective, gradient = results
-    assert gradient.evaluations <= 1.25 * objective.evaluations
+    norms._grad_component(spec, times, coeffs, [(1.0, -1.0, 0.0)], cfg)
+    objective, both = results
+    assert np.size(both.value) == 3
+    assert both.evaluations <= 1.25 * objective.evaluations

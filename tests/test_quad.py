@@ -14,8 +14,10 @@ from rhmsp.quad import (OscillationHint, QuadratureConfig, QuadratureError,
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        QuadratureConfig(rel_tol=0.0)
+    for bad in ({"rel_tol": 0.0}, {"rel_tol": math.inf}, {"abs_tol": math.inf},
+                {"rel_tol": math.nan}):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            QuadratureConfig(**bad)
 
 
 def test_hint_requires_envelope():
@@ -222,8 +224,9 @@ def test_windowed_means_share_integrand_calls():
 # recorded with the outer tail integral skipped and bounded (every
 # component of its integrand oscillates): its error at u = 3, where the
 # closed form is 0, fell from 9.56e-8 to 5.9e-11.  The gradient component
-# is recorded as one integral of the rows P and N; it is 3.0e-8 off the
-# five-point difference quotient of 1e-10 norms, 0.1072881427
+# was recorded as one integral of the rows P and N, and the pass that adds
+# the value row |G|^alpha keeps its bits; it is 3.0e-8 off the five-point
+# difference quotient of 1e-10 norms, 0.1072881427
 def test_windowed_tail_bits_are_pinned():
     from rhmsp import ProcessSpec, StabilityIndex, KernelVariant, parse_hurst
     from rhmsp.analysis import ft_check
@@ -245,8 +248,8 @@ def test_windowed_tail_bits_are_pinned():
     # their tail phase means are 128^2 torus grid sums; the 2^17-point
     # Kronecker line they replaced gave 0x1.0eaef854cfbecp-14, 6.2e-14 lower
     assert m2.hex() == "0x1.0eaef854cfd12p-14"
-    grad = _grad_component(flat, (0.5, 0.53, 0.56), (0.3, -1.3, 1.0),
-                           (1.0, -1.0, 0.0), QuadratureConfig(rel_tol=1e-6))
+    _, (grad,) = _grad_component(flat, (0.5, 0.53, 0.56), (0.3, -1.3, 1.0),
+                                 [(1.0, -1.0, 0.0)], QuadratureConfig(rel_tol=1e-6))
     assert grad.hex() == "0x1.b773bd6979cb4p-4"
 
 
